@@ -73,7 +73,7 @@ struct ShardStats {
 /// scatters sub-queries concurrently through one `server::Client` per
 /// shard with the parent's remaining deadline, and merges partials back
 /// into the single-store answer shapes — bit-identical to one Store
-/// holding the union of the shards (the `clustercheck` gate).
+/// holding the union of the shards (gated by `ctest -L cluster`).
 ///
 /// Degraded reads: a shard that is down, times out, or sheds does not
 /// fail the query. Its would-have-been contribution is charged to

@@ -13,7 +13,7 @@ namespace exawatt::scenario {
 /// default-constructed spec is the identity scenario, whose replay is
 /// bit-identical to a plain pue_rollup because apply() then installs no
 /// hooks and replaces no parameters — the un-intervened code path runs
-/// literally unchanged (the `scenariocheck` gate).
+/// literally unchanged (gated in tests/test_e2e.cpp, `ctest -L scenario`).
 struct ScenarioSpec {
   /// Label echoed through summaries ("cap-18MW", "feb-outage", ...).
   std::string name;

@@ -198,11 +198,11 @@ class Store {
   /// aged-out segments whole, merges each day's small segments into one
   /// re-sorted retention-filtered segment through a journaled
   /// `.incoming` + flip protocol (crash anywhere loses no committed
-  /// event — `compactcheck` sweeps every write point). Passes are
-  /// mutually exclusive with each other but run concurrently with
-  /// queries: in-flight readers keep serving from retired segments
-  /// until `reap` finds them unreferenced. Safe to call from a
-  /// background pool thread.
+  /// event — the `ctest -L lifecycle` crash sweep visits every write
+  /// point). Passes are mutually exclusive with each other but run
+  /// concurrently with queries: in-flight readers keep serving from
+  /// retired segments until `reap` finds them unreferenced. Safe to call
+  /// from a background pool thread.
   CompactionReport compact(const CompactionOptions& opts);
 
   /// Delete retired segment files whose last reader is gone (and the

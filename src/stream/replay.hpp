@@ -57,7 +57,7 @@ struct RollupReplay {
 /// The original power-only entry point: replay_rollup with no sinks,
 /// returning just the closed cluster power series. On the same event
 /// stream it must be bit-identical to `telemetry::cluster_sum` /
-/// `store::cluster_sum` — `exawatt_sim storecheck` gates on that.
+/// `store::cluster_sum` — the `ctest -L store` gate checks that.
 [[nodiscard]] ts::Series replay_power_rollup(
     const store::Store& store, const std::vector<machine::NodeId>& nodes,
     EngineOptions options);

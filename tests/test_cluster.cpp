@@ -20,7 +20,7 @@
 #include "cluster/merge.hpp"
 #include "cluster/rebalance.hpp"
 #include "cluster/shard_map.hpp"
-#include "faultfs/fault.hpp"
+#include "e2e_rig.hpp"
 #include "net/fanout.hpp"
 #include "store/store.hpp"
 #include "telemetry/metric.hpp"
@@ -32,14 +32,9 @@
 namespace {
 
 using namespace exawatt;
+using e2e::runs_equal;
+using e2e::scratch_dir;
 namespace fs = std::filesystem;
-
-std::string scratch_dir(const std::string& name) {
-  const fs::path dir = fs::path(testing::TempDir()) / ("exawatt_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
 
 const int kPowerChannel =
     telemetry::channel_of(telemetry::MetricKind::kInputPower, 0);
@@ -85,23 +80,6 @@ void fill_store(store::Store& store,
   }
   if (!batch.empty()) store.append(std::move(batch));
   store.flush();
-}
-
-bool runs_equal(const std::vector<store::MetricRun>& a,
-                const std::vector<store::MetricRun>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].id != b[i].id || a[i].samples.size() != b[i].samples.size()) {
-      return false;
-    }
-    for (std::size_t j = 0; j < a[i].samples.size(); ++j) {
-      if (a[i].samples[j].t != b[i].samples[j].t ||
-          a[i].samples[j].value != b[i].samples[j].value) {
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 // ------------------------------------------------------------ shard map
@@ -604,47 +582,32 @@ TEST(MigrationJournal, RoundTripsAndRejectsCorruption) {
 }
 
 TEST(Rebalance, CrashAtEveryWritePointNeverLosesACommittedEvent) {
-  // Rehearse once to count the write points of a full move, then crash
-  // at each in turn. After recover_migrations (the "next process start"),
-  // the union of both stores must bit-match the reference — the move
-  // either rolled back or completed, and no event was lost or duplicated
-  // at any crash site.
+  // Crash a full move at every write point in turn. After
+  // recover_migrations (the "next process start") no journal is left and
+  // the union of both stores bit-matches the reference — the move either
+  // rolled back or completed, and no event was lost or duplicated.
+  std::optional<RebalanceRig> rig;
   std::string victim;
-  std::uint64_t write_points = 0;
-  {
-    auto rig = make_rebalance_rig("rebalance_rehearsal");
-    {
-      store::Store a = store::Store::open(rig.root_a, small_segments());
-      victim = a.directory().front().file;
-    }
-    faultfs::FaultVfs counter(util::Vfs::real());
-    (void)cluster::rebalance_segment(rig.root_a, rig.root_b, victim,
-                                     &counter);
-    write_points = counter.stats().write_ops;
-    expect_union_parity(rig);
-  }
-  ASSERT_GT(write_points, 0u);
-
-  for (std::uint64_t k = 0; k < write_points; ++k) {
-    SCOPED_TRACE("crash at write op " + std::to_string(k));
-    auto rig = make_rebalance_rig("rebalance_crash");
-    faultfs::FaultVfs chaos(util::Vfs::real(),
-                            faultfs::FaultPlan().crash_at_write(k));
-    bool died = false;
-    try {
-      (void)cluster::rebalance_segment(rig.root_a, rig.root_b, victim,
-                                       &chaos);
-    } catch (const std::exception&) {
-      died = true;
-    }
-    ASSERT_TRUE(died);
-    (void)cluster::recover_migrations({rig.root_a, rig.root_b});
-    EXPECT_FALSE(
-        util::Vfs::real().exists(cluster::journal_path(rig.root_a)));
-    EXPECT_FALSE(
-        util::Vfs::real().exists(cluster::journal_path(rig.root_b)));
-    expect_union_parity(rig);
-  }
+  const e2e::SweepStats stats = e2e::crash_sweep(
+      [&] {
+        rig.emplace(make_rebalance_rig("rebalance_crash"));
+        store::Store a = store::Store::open(rig->root_a, small_segments());
+        victim = a.directory().front().file;
+      },
+      [&](util::Vfs& vfs) {
+        (void)cluster::rebalance_segment(rig->root_a, rig->root_b, victim,
+                                         &vfs);
+      },
+      [&](std::optional<std::uint64_t>) {
+        (void)cluster::recover_migrations({rig->root_a, rig->root_b});
+        EXPECT_FALSE(
+            util::Vfs::real().exists(cluster::journal_path(rig->root_a)));
+        EXPECT_FALSE(
+            util::Vfs::real().exists(cluster::journal_path(rig->root_b)));
+        expect_union_parity(*rig);
+      });
+  EXPECT_GT(stats.write_points, 0u);
+  EXPECT_EQ(stats.fired, stats.write_points);
 }
 
 }  // namespace

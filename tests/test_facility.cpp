@@ -106,8 +106,8 @@ TEST(Cooling, ForcedChillersStrictlyExceedTowerBaseline) {
   // Same load, same winter wet-bulb, stepped in lock-step: the forced
   // plant must pay strictly more facility power — and therefore a
   // strictly higher PUE — than the free-cooling baseline at every step
-  // once both have settled. This is the invariant scenariocheck gates
-  // on end-to-end; here it is pinned at the plant model itself.
+  // once both have settled. This is the invariant the scenario gate
+  // checks end to end; here it is pinned at the plant model itself.
   facility::CoolingPlant forced;
   facility::CoolingPlant baseline;
   forced.reset(5.5e6, 5.0);

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "e2e_rig.hpp"
 #include "faultfs/fault.hpp"
 #include "store/store.hpp"
 #include "stream/alerts.hpp"
@@ -23,6 +24,8 @@
 namespace {
 
 using namespace exawatt;
+using e2e::is_subset;
+using e2e::scratch_dir;
 namespace fs = std::filesystem;
 
 // ------------------------------------------------------------- fixtures
@@ -30,13 +33,6 @@ namespace fs = std::filesystem;
 constexpr int kChannel = 3;
 const std::vector<machine::NodeId> kNodes{0, 1, 2, 3};
 constexpr util::TimeRange kWindow{0, 600};
-
-std::string scratch_dir(const std::string& name) {
-  const fs::path dir = fs::path(testing::TempDir()) / ("exawatt_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
 
 /// Deterministic per-second feed for a small node set, chunked into
 /// batches the way the pipeline hands them to the store.
@@ -90,21 +86,6 @@ bool feed(const std::string& dir,
   } catch (const std::exception&) {
     return false;
   }
-}
-
-/// True when every sample of `part` appears in `full` with identical
-/// timestamp and bit-identical value (both time-sorted).
-bool is_subset(const std::vector<ts::Sample>& part,
-               const std::vector<ts::Sample>& full) {
-  std::size_t j = 0;
-  for (const auto& s : part) {
-    while (j < full.size() && full[j].t < s.t) ++j;
-    if (j >= full.size() || full[j].t != s.t || full[j].value != s.value) {
-      return false;
-    }
-    ++j;
-  }
-  return true;
 }
 
 /// The recovery invariant, checked after any fault schedule: reopen on

@@ -18,6 +18,7 @@
 #include <memory>
 #include <thread>
 
+#include "e2e_rig.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
@@ -841,23 +842,14 @@ TEST(Execute, PueRollupHonorsCancelAndDeadline) {
 
 struct LoopbackFixture {
   store::Store store;
-  server::Server server;
-  std::thread loop;
+  e2e::LoopbackServer loopback;
+  server::Server& server = loopback.server();
 
   explicit LoopbackFixture(const char* leaf)
-      : store(make_store(store_dir(leaf))), server(store, {}) {
-    loop = std::thread([this] { server.run(); });
-  }
-  ~LoopbackFixture() {
-    server.shutdown();
-    loop.join();
-    server.drain();
-  }
+      : store(make_store(store_dir(leaf))), loopback(store, {}) {}
 
   server::ClientOptions client_options() const {
-    server::ClientOptions copts;
-    copts.port = server.port();
-    return copts;
+    return loopback.client_options();
   }
 };
 
@@ -1490,12 +1482,8 @@ TEST(ChunkedLoopback, FullArchiveScanStaysUnderTheStreamBudget) {
   server::ServerOptions sopts;
   sopts.loop.stream_budget_bytes = 2 << 10;
   store::Store st = make_store(store_dir("budget_scan"));
-  server::Server srv(st, sopts);
-  std::thread loop([&] { srv.run(); });
-
-  server::ClientOptions copts;
-  copts.port = srv.port();
-  server::Client client(copts);
+  e2e::LoopbackServer loopback(st, sopts);
+  server::Client client(loopback.client_options());
   server::wire::Request req;
   req.method = server::wire::Method::kScan;
   req.metrics = {0, 1, 2, 3};
@@ -1508,16 +1496,12 @@ TEST(ChunkedLoopback, FullArchiveScanStaysUnderTheStreamBudget) {
   EXPECT_GT(server::wire::encode_response(plain).size(),
             sopts.loop.stream_budget_bytes);
 
-  const net::LoopStats ls = srv.loop_stats();
+  const net::LoopStats ls = loopback.server().loop_stats();
   EXPECT_GT(ls.stream_peak_buffered, 0u);
   // One in-flight frame may straddle the budget line; past that the gate
   // must have paused the scan rather than buffer the result.
   EXPECT_LE(ls.stream_peak_buffered,
             sopts.loop.stream_budget_bytes + 512 + net::kFrameHeaderBytes);
-
-  srv.shutdown();
-  loop.join();
-  srv.drain();
 }
 
 TEST(ChunkedLoopback, HostileChunkFlagsFailOneConnectionNotTheNeighbor) {
@@ -1668,8 +1652,7 @@ class WithServerAt : public ::testing::TestWithParam<HerdParam> {
     service_ = std::make_unique<server::QueryService>(
         *store_, server::ServiceOptions{.queue_limit = p.connections + 8,
                                         .pool = pool_.get()});
-    server_ = std::make_unique<server::Server>(*service_);
-    loop_ = std::thread([this] { server_->run(); });
+    server_ = std::make_unique<e2e::LoopbackServer>(*service_);
   }
 
   void TearDown() override {
@@ -1684,9 +1667,6 @@ class WithServerAt : public ::testing::TestWithParam<HerdParam> {
     EXPECT_EQ(m.accepted,
               m.served + m.shed + m.deadline_exceeded + m.cancelled + m.failed);
 
-    server_->shutdown();
-    loop_.join();
-    server_->drain();
     server_.reset();
     service_.reset();
     pool_.reset();
@@ -1703,16 +1683,13 @@ class WithServerAt : public ::testing::TestWithParam<HerdParam> {
   }
 
   server::ClientOptions client_options() const {
-    server::ClientOptions copts;
-    copts.port = server_->port();
-    return copts;
+    return server_->client_options();
   }
 
   std::unique_ptr<store::Store> store_;
   std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<server::QueryService> service_;
-  std::unique_ptr<server::Server> server_;
-  std::thread loop_;
+  std::unique_ptr<e2e::LoopbackServer> server_;
   std::size_t fds_before_ = 0;
 };
 
@@ -1747,11 +1724,11 @@ TEST_P(WithServerAt, HerdGetsBitIdenticalAnswersAndLeaksNothing) {
     EXPECT_EQ(canonical_bytes(got), expected);
   }
   for (int spins = 0;
-       spins < 500 && server_->loop_stats().accepted < p.connections;
+       spins < 500 && server_->server().loop_stats().accepted < p.connections;
        ++spins) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  EXPECT_GE(server_->loop_stats().accepted, p.connections);
+  EXPECT_GE(server_->server().loop_stats().accepted, p.connections);
   herd.clear();  // TearDown proves the close wave leaks nothing
 }
 

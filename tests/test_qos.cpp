@@ -3,12 +3,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "e2e_rig.hpp"
 #include "qos/autoscale.hpp"
 #include "qos/cost.hpp"
 #include "qos/pool.hpp"
@@ -20,19 +20,12 @@
 namespace {
 
 using namespace exawatt;
-namespace fs = std::filesystem;
+using e2e::scratch_dir;
 
 // Every test in this file is deterministic: time is a ManualClock (or a
 // plain integer handed to pop/snapshot/decide), so nothing here sleeps —
 // the fairness, starvation and hysteresis proofs replay identically on
-// any machine. The threaded end-to-end half lives in `qoscheck`.
-
-std::string scratch_dir(const std::string& name) {
-  const fs::path dir = fs::path(testing::TempDir()) / ("exawatt_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
+// any machine. The threaded end-to-end half lives in test_e2e (Qos*.*).
 
 qos::Item make_item(qos::Class cls, std::uint64_t tenant, std::uint64_t cost,
                     std::vector<std::uint64_t>* ran = nullptr,

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "e2e_rig.hpp"
 #include "store/manifest.hpp"
 #include "store/segment.hpp"
 #include "store/store.hpp"
@@ -22,17 +23,10 @@
 namespace {
 
 using namespace exawatt;
+using e2e::scratch_dir;
 namespace fs = std::filesystem;
 
 // ------------------------------------------------------------- fixtures
-
-/// Fresh scratch directory per test, removed up-front so reruns are clean.
-std::string scratch_dir(const std::string& name) {
-  const fs::path dir = fs::path(testing::TempDir()) / ("exawatt_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
