@@ -413,6 +413,10 @@ wire::Response Coordinator::execute(const wire::Request& request,
       // Answered by the fronting QueryService (its own counters plus
       // augment_stats); a bare Coordinator has no admission queue.
       break;
+    case wire::Method::kScanBlocks:
+      resp.status = wire::Status::kInvalidArgument;
+      resp.message = "scan_blocks is response-only (request as kScan)";
+      break;
     case wire::Method::kScenario:
     case wire::Method::kScenarioSweep: {
       stream::EngineOptions opts;

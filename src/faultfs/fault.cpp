@@ -200,7 +200,6 @@ void FaultVfs::apply_write_faults(const std::vector<Fault>& due,
 }
 
 void FaultVfs::apply_read_faults(const std::vector<Fault>& due,
-                                 const std::string& path,
                                  std::vector<std::uint8_t>& bytes) {
   for (const auto& f : due) {
     switch (f.kind) {
@@ -257,7 +256,7 @@ std::vector<std::uint8_t> FaultVfs::read_range(const std::string& path,
     }
   }
   auto out = base_.read_range(path, offset, bytes);
-  apply_read_faults(due, path, out);
+  apply_read_faults(due, out);
   return out;
 }
 
@@ -270,7 +269,7 @@ std::vector<std::uint8_t> FaultVfs::read_all(const std::string& path) {
     }
   }
   auto out = base_.read_all(path);
-  apply_read_faults(due, path, out);
+  apply_read_faults(due, out);
   return out;
 }
 
@@ -314,7 +313,7 @@ std::shared_ptr<util::VfsMapping> FaultVfs::map(const std::string& path) {
   if (flips) {
     const auto view = mapping->bytes();
     std::vector<std::uint8_t> copy(view.begin(), view.end());
-    apply_read_faults(due, path, copy);
+    apply_read_faults(due, copy);
     return std::make_shared<CopyMapping>(std::move(copy));
   }
   return mapping;

@@ -30,7 +30,7 @@ enum class FaultKind : std::uint8_t {
 
 /// One scripted fault, keyed by the global op counter of its side
 /// (write-side ops: create/write/close/rename/remove; read-side ops:
-/// read_range/read_all). With `repeat`, it fires on every op >= `op`.
+/// map/read_range/read_all). With `repeat`, it fires on every op >= `op`.
 struct Fault {
   FaultKind kind = FaultKind::kFailWrite;
   std::uint64_t op = 0;
@@ -83,7 +83,7 @@ class FaultPlan {
 /// Accounting for one FaultVfs lifetime.
 struct FaultStats {
   std::uint64_t write_ops = 0;  ///< create/write/rename/remove seen
-  std::uint64_t read_ops = 0;   ///< read_range/read_all seen
+  std::uint64_t read_ops = 0;   ///< map/read_range/read_all seen
   std::uint64_t injected = 0;   ///< faults actually fired
 };
 
@@ -135,7 +135,6 @@ class FaultVfs final : public util::Vfs {
                           const std::string& path);
   /// Applies read faults to `bytes` in place (flips); throws for failures.
   void apply_read_faults(const std::vector<Fault>& due,
-                         const std::string& path,
                          std::vector<std::uint8_t>& bytes);
 
   util::Vfs& base_;

@@ -376,6 +376,10 @@ wire::Response execute_on_store(const store::Store& store,
     case wire::Method::kServerStats:
       // Handled by QueryService::execute before the executor is reached.
       break;
+    case wire::Method::kScanBlocks:
+      resp.status = wire::Status::kInvalidArgument;
+      resp.message = "scan_blocks is response-only (request as kScan)";
+      break;
     case wire::Method::kScenario:
     case wire::Method::kScenarioSweep: {
       stream::EngineOptions opts;

@@ -68,7 +68,7 @@ struct ServiceOptions {
   /// Engaged = QoS mode. Disengaged (the default) keeps the classic
   /// bounded FIFO byte-for-byte, so existing embedders and class-less
   /// clients see identical behavior.
-  std::optional<QosOptions> qos;
+  std::optional<QosOptions> qos = std::nullopt;
 };
 
 /// Wire-supplied time grids are adversarial. Accepts only (range, window)

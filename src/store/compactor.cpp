@@ -337,7 +337,7 @@ CompactionReport Store::compact(const CompactionOptions& opts) {
       flipped = true;
 
       vfs_->rename(incoming, final_path);
-      SegmentReader reader(final_path, vfs_, options_.mmap_segments);
+      SegmentReader reader(final_path, vfs_);
       meta.file = out_name;
       {
         std::lock_guard<std::mutex> lock(*mu_);

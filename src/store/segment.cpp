@@ -133,43 +133,61 @@ SegmentMeta SegmentWriter::seal() {
 
 // ---------------------------------------------------------- SegmentReader
 
-SegmentReader::SegmentReader(std::string path, util::Vfs* vfs, bool map_file)
+SegmentReader::SegmentReader(std::string path, util::Vfs* vfs)
     : path_(std::move(path)),
       vfs_(vfs != nullptr ? vfs : &util::Vfs::real()) {
+  // The warm tier is the read path: one open+mmap, then validation and
+  // every block read slice the view. A refusal (a Vfs without mapping, an
+  // injected map fault, mmap ENOMEM) falls back to buffered reads; the
+  // tier is an optimization, never a reason to fail the open.
+  try {
+    mapping_ = vfs_->map(path_);
+  } catch (const util::VfsError&) {
+  }
+  // File bytes [offset, offset + n): a slice of the view, or a buffered
+  // read valid until the next call. Either way one parser runs below.
+  std::vector<std::uint8_t> scratch;
+  auto bytes_at = [&](std::uint64_t offset,
+                      std::size_t n) -> std::span<const std::uint8_t> {
+    if (mapping_ != nullptr) return mapping_->bytes().subspan(offset, n);
+    scratch = vfs_->read_range(path_, offset, n);
+    return scratch;
+  };
+
   std::uint64_t footer_bytes = 0;
   try {
-    file_bytes_ = vfs_->size(path_);
+    file_bytes_ = mapping_ != nullptr ? mapping_->bytes().size()
+                                      : vfs_->size(path_);
     if (file_bytes_ < kHeaderBytes + kTrailerBytes) {
       throw StoreError("segment: truncated below header+trailer: " + path_);
     }
 
-    const auto header = vfs_->read_range(path_, 0, kHeaderBytes);
+    const auto header = bytes_at(0, kHeaderBytes);
     if (!std::equal(kSegmentMagic, kSegmentMagic + 8, header.begin())) {
       throw StoreError("segment: bad header magic: " + path_);
     }
-    const std::uint32_t version = get_u32le({header.data() + 8, 4});
+    const std::uint32_t version = get_u32le(header.subspan(8, 4));
     if (version != kFormatVersion) {
       throw StoreError("segment: unsupported format version " +
                        std::to_string(version) + ": " + path_);
     }
 
     const auto trailer =
-        vfs_->read_range(path_, file_bytes_ - kTrailerBytes, kTrailerBytes);
+        bytes_at(file_bytes_ - kTrailerBytes, kTrailerBytes);
     if (!std::equal(kFooterMagic, kFooterMagic + 8, trailer.begin() + 12)) {
       throw StoreError(
           "segment: missing footer trailer (crashed mid-write?): " + path_);
     }
-    const std::uint64_t footer_size = get_u64le({trailer.data(), 8});
-    const std::uint32_t footer_crc = get_u32le({trailer.data() + 8, 4});
+    const std::uint64_t footer_size = get_u64le(trailer.subspan(0, 8));
+    const std::uint32_t footer_crc = get_u32le(trailer.subspan(8, 4));
     if (footer_size == 0 ||
         footer_size > file_bytes_ - kHeaderBytes - kTrailerBytes) {
       throw StoreError("segment: implausible footer size: " + path_);
     }
     footer_bytes = footer_size;
 
-    const auto footer = vfs_->read_range(
-        path_, file_bytes_ - kTrailerBytes - footer_size,
-        static_cast<std::size_t>(footer_size));
+    const auto footer = bytes_at(file_bytes_ - kTrailerBytes - footer_size,
+                                 static_cast<std::size_t>(footer_size));
     if (util::crc32(footer) != footer_crc) {
       throw StoreError("segment: footer CRC mismatch: " + path_);
     }
@@ -192,22 +210,6 @@ SegmentReader::SegmentReader(std::string path, util::Vfs* vfs, bool map_file)
   }
   bounds_ = first ? util::TimeRange{0, 0} : util::TimeRange{lo, hi + 1};
   cache_segment_id_ = fnv1a64(path_);
-
-  if (map_file) {
-    // Warm tier opt-in. Mapping is an optimization: refusal (a Vfs with
-    // no mmap support, an injected map fault) falls back to buffered
-    // reads rather than failing the open. A mapping shorter than the
-    // validated file (concurrent truncation) is also refused — spans
-    // handed out later must never run off the view.
-    try {
-      auto m = vfs_->map(path_);
-      if (m != nullptr && m->bytes().size() >= file_bytes_) {
-        mapping_ = std::move(m);
-      }
-    } catch (const util::VfsError&) {
-      // fall back to buffered reads
-    }
-  }
 
   // Per-metric lookup index: directory indices stably sorted by metric id
   // (sealed segments already group blocks by metric, so this is usually a
@@ -250,8 +252,8 @@ std::span<const std::uint8_t> SegmentReader::block_span(
   std::span<const std::uint8_t> bytes;
   if (mapping_ != nullptr) {
     // Warm tier: slice the mapped view. The constructor bounds-checked
-    // every directory entry against the file and the mapping covers the
-    // whole file, so the subspan cannot run off the view.
+    // every directory entry against the view itself, so the subspan
+    // cannot run off it.
     bytes = mapping_->bytes().subspan(block.offset, block.size);
     if (stats != nullptr) ++stats->warm_blocks;
   } else {

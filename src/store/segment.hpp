@@ -49,23 +49,19 @@ class SegmentWriter {
   bool sealed_ = false;
 };
 
-/// Read side of one sealed segment: the constructor validates header and
-/// footer (magic, version, CRC, directory sanity) and throws StoreError on
-/// any damage — this is the recovery check that drops crashed tails.
-/// Block payloads are read lazily per scan and verified against their
-/// directory CRC. All scan methods are const and stateless over the Vfs,
-/// so one reader can serve parallel queries.
+/// Read side of one sealed segment. The constructor maps the whole file
+/// through `Vfs::map()` (the warm tier) and validates header, trailer,
+/// footer CRC and directory sanity from the mapped bytes, throwing
+/// StoreError on any damage — the recovery check that drops crashed
+/// tails. Block reads are zero-copy slices of the view, verified against
+/// their directory CRC, and survive a concurrent unlink (the compactor
+/// retires inputs under live queries). Only when `map()` returns nullptr
+/// or throws does the reader fall back to buffered `read_range` calls,
+/// running the same validation on them. All scan methods are const and
+/// stateless over the Vfs, so one reader can serve parallel queries.
 class SegmentReader {
  public:
-  /// With `map_file`, the reader asks the Vfs for an mmap'd view of the
-  /// whole segment and serves every block read from it (the warm tier):
-  /// zero-copy spans, no per-block open/seek, and immunity to a
-  /// concurrent unlink (the compactor retires inputs under live
-  /// queries). Mapping failure — unsupported Vfs or a VfsError — falls
-  /// back to buffered reads silently; the tier is an optimization, not
-  /// a correctness surface.
-  explicit SegmentReader(std::string path, util::Vfs* vfs = nullptr,
-                         bool map_file = false);
+  explicit SegmentReader(std::string path, util::Vfs* vfs = nullptr);
 
   [[nodiscard]] const std::vector<BlockMeta>& blocks() const {
     return blocks_;

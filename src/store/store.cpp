@@ -116,7 +116,7 @@ void Store::recover() {
       continue;
     }
     try {
-      SegmentReader reader(path, vfs_, options_.mmap_segments);
+      SegmentReader reader(path, vfs_);
       if (reader.events() != meta.events ||
           reader.file_bytes() != meta.bytes) {
         throw StoreError("segment disagrees with manifest: " + path);
@@ -144,7 +144,7 @@ void Store::recover() {
     if (!name.ends_with(".seg") || listed.count(name) > 0) continue;
     const std::string path = root_ + "/" + name;
     try {
-      SegmentReader reader(path, vfs_, options_.mmap_segments);
+      SegmentReader reader(path, vfs_);
       SegmentMeta meta;
       meta.file = name;
       meta.day = reader.blocks().empty()
@@ -230,7 +230,7 @@ void Store::seal_day(std::int64_t day) {
   meta.file = name;
   // Re-open through the validating reader: the segment must be readable
   // before the manifest is allowed to point at it.
-  SegmentReader reader(root_ + "/" + name, vfs_, options_.mmap_segments);
+  SegmentReader reader(root_ + "/" + name, vfs_);
   std::lock_guard<std::mutex> lock(*mu_);
   adopt_locked(std::move(meta), std::move(reader));
   save_manifest_locked();

@@ -42,12 +42,6 @@ struct StoreOptions {
   /// windows skip disk + CRC + varint decode. Sized in decoded bytes:
   /// the default holds roughly four million events.
   std::size_t cache_bytes = std::size_t{64} << 20;
-  /// Warm read tier: open sealed segments through `Vfs::map()` and serve
-  /// block reads as zero-copy slices of the mapped view (no per-block
-  /// open/seek, and readers survive the compactor unlinking their file).
-  /// Off by default — mapping claims read-fault ops, which would shift
-  /// the op numbering existing fault schedules aim at.
-  bool mmap_segments = false;
 };
 
 /// What `Store::open` found and fixed. A crash mid-write loses at most

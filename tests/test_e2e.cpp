@@ -21,6 +21,7 @@
 #include "qos/scheduler.hpp"
 #include "scenario/engine.hpp"
 #include "telemetry/aggregator.hpp"
+#include "unmapped_vfs.hpp"
 #include "util/text_table.hpp"
 
 namespace {
@@ -140,7 +141,12 @@ TEST(IngestCrash, LostSegmentDegradesInsteadOfThrowing) {
   const Feed& f = feed(6, 4);
   const std::string dir = scratch_dir("e2e_ingest_degraded");
   fill_store(f, dir);
-  const store::Store store = store::Store::open(dir, store_options());
+  // Buffered tier: a mapped segment outlives its unlink, so only an
+  // unmapped reader can lose its file under a live store.
+  UnmappedVfs buffered;
+  store::StoreOptions options = store_options();
+  options.vfs = &buffered;
+  const store::Store store = store::Store::open(dir, options);
   const std::string victim = first_segment(dir);
   ASSERT_FALSE(victim.empty());
   ASSERT_GT(store.sealed_segments(), 0u);
@@ -266,8 +272,12 @@ TEST(Serve, LostSegmentIsReportedOverTheWire) {
   ASSERT_FALSE(victim.empty());
 
   // Lose the segment under a live, cold-cached store: reopening after the
-  // loss would let recovery repair the manifest and hide it.
-  const store::Store store = store::Store::open(dir, store_options());
+  // loss would let recovery repair the manifest and hide it. Buffered
+  // tier, since only an unmapped reader loses its file to an unlink.
+  UnmappedVfs buffered;
+  store::StoreOptions options = store_options();
+  options.vfs = &buffered;
+  const store::Store store = store::Store::open(dir, options);
   util::Vfs::real().remove(dir + "/" + victim);
   LoopbackServer srv(store, qos_server_options());
   const Request req = feed_request(Method::kScan, f);

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "stream/alerts.hpp"
 #include "telemetry/aggregator.hpp"
 #include "telemetry/archive.hpp"
+#include "unmapped_vfs.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -26,7 +28,15 @@ namespace {
 using namespace exawatt;
 using e2e::is_subset;
 using e2e::scratch_dir;
+using e2e::UnmappedVfs;
 namespace fs = std::filesystem;
+
+// Every read-fault case names the tier it covers. A store reads through
+// mapped views by default: opening claims one read op per segment (the
+// map) and queries claim none, so faults armed after open never reach
+// it. Cases about per-block read faults or unlink-as-loss therefore run
+// on the buffered tier — a FaultVfs stacked on UnmappedVfs, whose map()
+// refuses — and the mapped tier gets its own cases where it differs.
 
 // ------------------------------------------------------------- fixtures
 
@@ -283,9 +293,10 @@ TEST(FaultMatrix, BitFlipOnReadDegradesThenHealsWhenFaultClears) {
   const std::string dir = scratch_dir("faults_bitflip");
   ASSERT_TRUE(feed(dir, batches));
 
-  // Open clean, then arm a flip on every later read: the block CRCs must
-  // convert silent corruption into counted, skipped blocks.
-  faultfs::FaultVfs flippy(util::Vfs::real());
+  // Buffered tier. Open clean, then arm a flip on every later read: the
+  // block CRCs must convert silent corruption into counted, skipped blocks.
+  UnmappedVfs buffered;
+  faultfs::FaultVfs flippy(buffered);
   store::StoreOptions options = small_segments();
   options.vfs = &flippy;
   store::Store store = store::Store::open(dir, options);
@@ -302,6 +313,7 @@ TEST(FaultMatrix, BitFlipOnReadDegradesThenHealsWhenFaultClears) {
     returned += disk.size();
     degraded = degraded || stats.degraded();
   }
+  EXPECT_GE(flippy.stats().injected, 1u);
   EXPECT_TRUE(degraded);
   EXPECT_LT(returned, total_events(reference));
 
@@ -322,7 +334,9 @@ TEST(FaultMatrix, WarmBlockCacheServesQueriesThroughReadFaults) {
   const std::string dir = scratch_dir("faults_warm_cache");
   ASSERT_TRUE(feed(dir, batches));
 
-  faultfs::FaultVfs flippy(util::Vfs::real());
+  // Buffered tier: the cold contrast store must hit per-block reads.
+  UnmappedVfs buffered;
+  faultfs::FaultVfs flippy(buffered);
   store::StoreOptions cached_options = small_segments();
   cached_options.vfs = &flippy;
   store::StoreOptions cold_options = cached_options;
@@ -371,6 +385,7 @@ TEST(FaultMatrix, WarmBlockCacheServesQueriesThroughReadFaults) {
     EXPECT_TRUE(is_subset(got, reference));
     degraded = degraded || stats.degraded();
   }
+  EXPECT_GE(flippy.stats().injected, 1u);
   EXPECT_TRUE(degraded);
 }
 
@@ -379,7 +394,9 @@ TEST(DegradedQueries, WindowSumRollsBackDamagedBlocksWhole) {
   const std::string dir = scratch_dir("faults_window_sum");
   ASSERT_TRUE(feed(dir, batches));
 
-  faultfs::FaultVfs flippy(util::Vfs::real());
+  // Buffered tier: every block of the scan is a faultable read_range.
+  UnmappedVfs buffered;
+  faultfs::FaultVfs flippy(buffered);
   store::StoreOptions options = small_segments();
   options.vfs = &flippy;
   options.cache_bytes = 0;
@@ -391,6 +408,7 @@ TEST(DegradedQueries, WindowSumRollsBackDamagedBlocksWhole) {
       flippy.stats().read_ops, 3));
   store::QueryStats stats;
   const auto damaged = store.window_sum(id, kWindow, 10, nullptr, &stats);
+  EXPECT_GE(flippy.stats().injected, 1u);
   EXPECT_TRUE(stats.degraded());
   // Partial sums never leak: every window's contribution is either the
   // full clean value or absent — here every block fails, so the grid is
@@ -418,7 +436,11 @@ TEST(DegradedQueries, LostSegmentShrinksResultsInsteadOfThrowing) {
   const std::string dir = scratch_dir("faults_lost_segment");
   ASSERT_TRUE(feed(dir, batches));
 
-  store::Store store = store::Store::open(dir, small_segments());
+  // Buffered tier: only an unmapped reader loses its file to an unlink.
+  UnmappedVfs buffered;
+  store::StoreOptions options = small_segments();
+  options.vfs = &buffered;
+  store::Store store = store::Store::open(dir, options);
   ASSERT_GE(store.sealed_segments(), 2u);
   const auto ids = store.metrics();
 
@@ -446,20 +468,62 @@ TEST(DegradedQueries, LostSegmentShrinksResultsInsteadOfThrowing) {
   for (std::size_t w = 0; w < sum.size(); ++w) EXPECT_EQ(sum[w], 0.0);
 }
 
+// The mapped twin: a view outlives the unlink of its path (how compaction
+// retires inputs under live queries), so the same deletion costs nothing.
+TEST(DegradedQueries, UnlinkUnderMappedStoreIsNotALoss) {
+  const auto batches = make_batches();
+  const auto reference = make_reference(batches);
+  const std::string dir = scratch_dir("faults_unlink_mapped");
+  ASSERT_TRUE(feed(dir, batches));
+
+  store::Store store = store::Store::open(dir, small_segments());
+  ASSERT_GE(store.sealed_segments(), 2u);
+  const auto ids = store.metrics();
+  for (const std::string& name : util::Vfs::real().list(dir)) {
+    if (name.ends_with(".seg")) util::Vfs::real().remove(dir + "/" + name);
+  }
+
+  std::uint64_t returned = 0;
+  for (const telemetry::MetricId id : ids) {
+    store::QueryStats stats;
+    const auto run = store.query(id, kWindow, &stats);
+    const auto ref = reference.query(id, kWindow);
+    EXPECT_EQ(run.size(), ref.size()) << "metric " << id;
+    EXPECT_TRUE(is_subset(run, ref)) << "metric " << id;
+    EXPECT_FALSE(stats.degraded());
+    EXPECT_EQ(stats.lost_segments, 0u);
+    EXPECT_EQ(stats.cold_blocks, 0u);
+    returned += run.size();
+  }
+  EXPECT_EQ(returned, total_events(reference));
+
+  store::QueryStats sum_stats;
+  const auto sum = store::cluster_sum(store, kNodes, kChannel, kWindow, 10,
+                                      nullptr, nullptr, &sum_stats);
+  EXPECT_EQ(sum_stats.lost_segments, 0u);
+  EXPECT_FALSE(sum_stats.degraded());
+  EXPECT_TRUE(e2e::series_equal(
+      sum, telemetry::cluster_sum(reference, kNodes, kChannel, kWindow, 10)));
+}
+
 // ---------------------------------------------------------- property test
 
 // Under ANY seeded read-side fault schedule, queries may return fewer
 // samples (flagged degraded) but never a sample the feed did not produce.
-// On failure the seed and the full schedule print for replay.
+// On failure the seed and the full schedule print for replay. Buffered
+// tier: the faults land on the per-block reads of the queries.
 TEST(FaultProperty, RandomReadFaultsNeverCorruptQueries) {
   const auto batches = make_batches();
   const auto reference = make_reference(batches);
   const std::string dir = scratch_dir("faults_property");
   ASSERT_TRUE(feed(dir, batches));
 
+  UnmappedVfs buffered;
+  std::uint64_t injected = 0;
+  bool degraded = false;
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     util::ManualClock clock;  // delay faults must not really sleep
-    faultfs::FaultVfs chaos(util::Vfs::real(), {}, &clock);
+    faultfs::FaultVfs chaos(buffered, {}, &clock);
     store::StoreOptions options = small_segments();
     options.vfs = &chaos;
     options.clock = &clock;
@@ -481,8 +545,73 @@ TEST(FaultProperty, RandomReadFaultsNeverCorruptQueries) {
       if (disk.size() != ref.size()) {
         EXPECT_TRUE(stats.degraded()) << "metric " << id;
       }
+      degraded = degraded || stats.degraded();
     }
+    injected += chaos.stats().injected;
   }
+  EXPECT_GE(injected, 1u);
+  EXPECT_TRUE(degraded);
+}
+
+// The mapped twin: faults armed before open land on the manifest read and
+// on each segment's map. A failed map falls back to buffered reads (which
+// later faults may hit); a flipped map hands out a damaged view. Either
+// way no query may return a sample the feed did not produce, and every
+// missing sample is accounted — dropped at open by recovery, or counted
+// by the query. Each seed opens a fresh copy, since recovery sets
+// damaged segments aside on disk.
+TEST(FaultProperty, RandomMapFaultsAtOpenNeverCorruptQueries) {
+  const auto batches = make_batches();
+  const auto reference = make_reference(batches);
+  const std::string dir = scratch_dir("faults_property_mapped");
+  const std::string pristine = dir + "/pristine";
+  const std::string root = dir + "/store";
+  ASSERT_TRUE(feed(pristine, batches));
+
+  // A clean open claims one read op for the manifest and one map per
+  // segment, and no header/trailer/footer reads.
+  std::uint64_t open_ops = 0;
+  {
+    faultfs::FaultVfs counting(util::Vfs::real());
+    store::StoreOptions options = small_segments();
+    options.vfs = &counting;
+    const store::Store store = store::Store::open(pristine, options);
+    open_ops = counting.stats().read_ops;
+    ASSERT_EQ(open_ops, 1 + store.sealed_segments());
+  }
+
+  std::uint64_t injected = 0;
+  bool lost = false;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    fs::remove_all(root);
+    fs::copy(pristine, root);
+    const auto plan = faultfs::FaultPlan::random_reads(seed, 8, open_ops);
+    SCOPED_TRACE("seed " + std::to_string(seed) + " plan:\n" +
+                 plan.describe());
+    util::ManualClock clock;
+    faultfs::FaultVfs chaos(util::Vfs::real(), plan, &clock);
+    store::StoreOptions options = small_segments();
+    options.vfs = &chaos;
+    options.clock = &clock;
+    std::optional<store::Store> store;
+    ASSERT_NO_THROW(store.emplace(store::Store::open(root, options)));
+    const bool dropped = store->recovery().dropped_corrupt > 0;
+
+    for (const telemetry::MetricId id : store->metrics()) {
+      store::QueryStats stats;
+      std::vector<ts::Sample> disk;
+      ASSERT_NO_THROW(disk = store->query(id, kWindow, &stats));
+      const auto ref = reference.query(id, kWindow);
+      ASSERT_TRUE(is_subset(disk, ref)) << "metric " << id;
+      if (disk.size() != ref.size()) {
+        EXPECT_TRUE(stats.degraded() || dropped) << "metric " << id;
+        lost = true;
+      }
+    }
+    injected += chaos.stats().injected;
+  }
+  EXPECT_GE(injected, 1u);
+  EXPECT_TRUE(lost);
 }
 
 // --------------------------------------------------------- alert surface
@@ -518,9 +647,9 @@ TEST(IngestDropAlert, RaisesOnFirstSheddingAndClearsWhenStable) {
 
 // ------------------------------------------------------- warm-tier faults
 
-// SegmentReader ctor read-side op numbering: header (0), trailer (1),
-// footer (2), then the map attempt (3) when map_file is set.
-constexpr std::uint64_t kMapOp = 3;
+// SegmentReader ctor read-side op numbering: the map attempt (0); only if
+// it fails do the buffered header (1), trailer (2) and footer (3) follow.
+constexpr std::uint64_t kMapOp = 0;
 
 TEST(WarmTierFaults, MapFailureFallsBackToBufferedReads) {
   const auto batches = make_batches();
@@ -532,14 +661,15 @@ TEST(WarmTierFaults, MapFailureFallsBackToBufferedReads) {
     ASSERT_FALSE(st.directory().empty());
     seg = dir + "/" + st.directory().front().file;
   }
-  store::SegmentReader clean(seg, nullptr, /*map_file=*/true);
+  store::SegmentReader clean(seg);
   ASSERT_TRUE(clean.mapped());
 
   faultfs::FaultVfs vfs(util::Vfs::real(),
                         faultfs::FaultPlan().fail_read(kMapOp));
-  store::SegmentReader reader(seg, &vfs, /*map_file=*/true);
+  store::SegmentReader reader(seg, &vfs);
   EXPECT_FALSE(reader.mapped());  // the tier refused, the open did not
-  EXPECT_GE(vfs.stats().injected, 1u);
+  EXPECT_EQ(vfs.stats().injected, 1u);
+  EXPECT_EQ(vfs.stats().read_ops, 4u);  // map + header, trailer, footer
   for (const auto& b : reader.blocks()) {
     // Buffered fallback serves the identical events the mapping would.
     const auto got = reader.read_block(b);
@@ -572,8 +702,9 @@ TEST(WarmTierFaults, BitFlipOnMappedViewIsCaughtByBlockCrc) {
   faultfs::FaultVfs vfs(
       util::Vfs::real(),
       faultfs::FaultPlan().flip_bit_on_read(kMapOp, target.offset * 8));
-  store::SegmentReader reader(seg, &vfs, /*map_file=*/true);
+  store::SegmentReader reader(seg, &vfs);
   ASSERT_TRUE(reader.mapped());
+  EXPECT_EQ(vfs.stats().injected, 1u);
   EXPECT_THROW((void)reader.read_block(target), store::StoreError);
 
   // The degraded path skips the damaged block, counts it, and still

@@ -10,12 +10,14 @@
 #include <vector>
 
 #include "e2e_rig.hpp"
+#include "faultfs/fault.hpp"
 #include "store/manifest.hpp"
 #include "store/segment.hpp"
 #include "store/store.hpp"
 #include "telemetry/aggregator.hpp"
 #include "telemetry/archive.hpp"
 #include "telemetry/codec.hpp"
+#include "unmapped_vfs.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -24,6 +26,7 @@ namespace {
 
 using namespace exawatt;
 using e2e::scratch_dir;
+using e2e::UnmappedVfs;
 namespace fs = std::filesystem;
 
 // ------------------------------------------------------------- fixtures
@@ -57,6 +60,19 @@ std::vector<telemetry::MetricEvent> random_batch(util::Rng& rng,
     ev.value = static_cast<std::int32_t>(rng.uniform_index(1000)) - 500;
   }
   return batch;
+}
+
+/// The two read tiers a segment can be opened on: the default mapped view
+/// (nullptr = the real filesystem) and the buffered fallback a failed map
+/// takes. Damage checks must hold on both.
+struct Tier {
+  const char* name;
+  util::Vfs* vfs;
+};
+
+std::vector<Tier> read_tiers() {
+  static UnmappedVfs buffered;
+  return {{"mapped", nullptr}, {"buffered", &buffered}};
 }
 
 bool sample_less(const ts::Sample& a, const ts::Sample& b) {
@@ -246,7 +262,8 @@ TEST(Segment, SealTwiceAndEmptyAreErrors) {
 
 /// Crash-safety at the file level: a segment cut off at ANY byte length
 /// must be rejected by the reader's open-time validation — never a crash,
-/// never silently-short data.
+/// never silently-short data — whether it validates a mapped view or
+/// buffered reads.
 TEST(Corruption, TruncationAtEveryLengthIsDetected) {
   const auto dir = scratch_dir("trunc");
   const std::string path = dir + "/seg.seg";
@@ -258,14 +275,20 @@ TEST(Corruption, TruncationAtEveryLengthIsDetected) {
   ASSERT_GT(whole.size(), store::kHeaderBytes + store::kTrailerBytes);
 
   const std::string cut = dir + "/cut.seg";
-  for (std::size_t len = 0; len < whole.size(); ++len) {
-    write_file(cut, {whole.begin(), whole.begin() + static_cast<long>(len)});
-    EXPECT_THROW(store::SegmentReader reader(cut), store::StoreError)
-        << "truncated to " << len << " of " << whole.size() << " bytes";
+  for (const Tier& tier : read_tiers()) {
+    SCOPED_TRACE(tier.name);
+    for (std::size_t len = 0; len < whole.size(); ++len) {
+      write_file(cut,
+                 {whole.begin(), whole.begin() + static_cast<long>(len)});
+      EXPECT_THROW(store::SegmentReader reader(cut, tier.vfs),
+                   store::StoreError)
+          << "truncated to " << len << " of " << whole.size() << " bytes";
+    }
+    // Sanity: the untruncated file still opens, on the tier under test.
+    write_file(cut, whole);
+    const store::SegmentReader reader(cut, tier.vfs);
+    EXPECT_EQ(reader.mapped(), tier.vfs == nullptr);
   }
-  // Sanity: the untruncated file still opens.
-  write_file(cut, whole);
-  EXPECT_NO_THROW(store::SegmentReader reader(cut));
 }
 
 /// A flipped byte in a block payload passes open-time validation (the
@@ -279,16 +302,20 @@ TEST(Corruption, BlockBitFlipCaughtByCrcOnScan) {
   writer.add(random_batch(rng, {0, util::kHour}, 600, 3));
   (void)writer.seal();
 
-  store::SegmentReader clean(path);
-  const auto& first = clean.blocks().front();
+  const store::BlockMeta first = store::SegmentReader(path).blocks().front();
   auto bytes = read_file(path);
   bytes[first.offset + first.size / 2] ^= 0x40;
   write_file(path, bytes);
 
-  store::SegmentReader flipped(path);  // footer intact: open succeeds
-  std::vector<ts::Sample> out;
-  EXPECT_THROW(flipped.scan(first.id, {0, util::kHour}, out),
-               store::StoreError);
+  for (const Tier& tier : read_tiers()) {
+    SCOPED_TRACE(tier.name);
+    // Footer intact: open succeeds.
+    const store::SegmentReader flipped(path, tier.vfs);
+    EXPECT_EQ(flipped.mapped(), tier.vfs == nullptr);
+    std::vector<ts::Sample> out;
+    EXPECT_THROW(flipped.scan(first.id, {0, util::kHour}, out),
+                 store::StoreError);
+  }
 }
 
 /// A flipped byte in the footer directory is caught at open time.
@@ -303,7 +330,11 @@ TEST(Corruption, FooterBitFlipCaughtAtOpen) {
   auto bytes = read_file(path);
   bytes[bytes.size() - store::kTrailerBytes - 4] ^= 0x01;
   write_file(path, bytes);
-  EXPECT_THROW(store::SegmentReader reader(path), store::StoreError);
+  for (const Tier& tier : read_tiers()) {
+    SCOPED_TRACE(tier.name);
+    EXPECT_THROW(store::SegmentReader reader(path, tier.vfs),
+                 store::StoreError);
+  }
 }
 
 // -------------------------------------------------------------- manifest
@@ -953,19 +984,26 @@ TEST(WarmTier, MmapParityWithBufferedReadsOnEveryMetric) {
     st.flush();
   }
 
-  auto cold = store::Store::open(dir, options);
-  store::StoreOptions warm_options = options;
-  warm_options.mmap_segments = true;
-  auto warm = store::Store::open(dir, warm_options);
+  // Buffered tier: the same files over a Vfs that refuses to map.
+  UnmappedVfs buffered;
+  store::StoreOptions cold_options = options;
+  cold_options.vfs = &buffered;
+  auto cold = store::Store::open(dir, cold_options);
+  auto warm = store::Store::open(dir, options);
 
   const util::TimeRange range{0, 2 * util::kDay};
   store::QueryStats cold_stats, warm_stats;
   for (const telemetry::MetricId id : cold.metrics()) {
-    expect_same_samples(warm.query(id, range, &warm_stats),
-                        cold.query(id, range, &cold_stats),
-                        "warm/cold tier, metric " + std::to_string(id));
+    // Bit-identical, order included: both tiers feed the same merge.
+    const auto w = warm.query(id, range, &warm_stats);
+    const auto c = cold.query(id, range, &cold_stats);
+    ASSERT_EQ(w.size(), c.size()) << "metric " << id;
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      ASSERT_TRUE(sample_eq(w[i], c[i]))
+          << "metric " << id << " diverges at sample " << i;
+    }
   }
-  // Tier attribution: the mapped store reads every block zero-copy, the
+  // Tier attribution: the default store reads every block zero-copy, the
   // buffered one never maps. Both read the same number of blocks.
   EXPECT_FALSE(warm_stats.degraded());
   EXPECT_FALSE(cold_stats.degraded());
@@ -989,7 +1027,7 @@ TEST(WarmTier, MappedReaderSurvivesUnlink) {
   ASSERT_FALSE(directory.empty());
   const std::string seg_path = dir + "/" + directory.front().file;
 
-  store::SegmentReader reader(seg_path, nullptr, /*map_file=*/true);
+  store::SegmentReader reader(seg_path);
   ASSERT_TRUE(reader.mapped());
   std::uint64_t before = 0;
   for (const auto& b : reader.blocks()) before += reader.read_block(b).size();
@@ -1001,6 +1039,67 @@ TEST(WarmTier, MappedReaderSurvivesUnlink) {
   for (const auto& b : reader.blocks()) after += reader.read_block(b).size();
   EXPECT_EQ(after, before);
   EXPECT_EQ(after, reader.events());
+}
+
+/// The warm tier is the default: a store opened with no options at all
+/// serves every block read from mapped views.
+TEST(WarmTier, DefaultStoreServesScansFromTheMap) {
+  const auto dir = scratch_dir("warm_default");
+  util::Rng rng(73);
+  {
+    store::StoreOptions options;
+    options.segment_events = 500;
+    auto st = store::Store::open(dir, options);
+    for (int b = 0; b < 4; ++b) {
+      st.append(random_batch(rng, {0, util::kDay}, 500, 4));
+    }
+    st.flush();
+  }
+  const auto st = store::Store::open(dir);
+  ASSERT_GE(st.sealed_segments(), 2u);
+  store::QueryStats stats;
+  std::size_t samples = 0;
+  for (const telemetry::MetricId id : st.metrics()) {
+    samples += st.query(id, {0, util::kDay}, &stats).size();
+  }
+  EXPECT_EQ(samples, 2000u);
+  EXPECT_GT(stats.warm_blocks, 0u);
+  EXPECT_EQ(stats.cold_blocks, 0u);
+}
+
+/// Opening a mapped segment costs its map and nothing else: the header,
+/// trailer and footer validate from the view, with no read_range. The
+/// buffered fallback pays three reads per segment on top.
+TEST(WarmTier, OpenClaimsOneMapPerSegmentAndNoHeaderReads) {
+  const auto dir = scratch_dir("warm_open_ops");
+  util::Rng rng(74);
+  store::StoreOptions options;
+  options.segment_events = 300;
+  {
+    auto st = store::Store::open(dir, options);
+    for (int b = 0; b < 5; ++b) {
+      st.append(random_batch(rng, {0, util::kDay}, 300, 3));
+    }
+    st.flush();
+  }
+
+  faultfs::FaultVfs mapped_count(util::Vfs::real());
+  store::StoreOptions mapped_options = options;
+  mapped_options.vfs = &mapped_count;
+  const auto mapped = store::Store::open(dir, mapped_options);
+  ASSERT_TRUE(mapped.recovery().clean());
+  const std::uint64_t segments = mapped.sealed_segments();
+  ASSERT_EQ(segments, 5u);
+  // One read_all of the manifest, then one map per sealed segment.
+  EXPECT_EQ(mapped_count.stats().read_ops, 1 + segments);
+
+  UnmappedVfs buffered;
+  faultfs::FaultVfs buffered_count(buffered);
+  store::StoreOptions buffered_options = options;
+  buffered_options.vfs = &buffered_count;
+  const auto cold = store::Store::open(dir, buffered_options);
+  ASSERT_TRUE(cold.recovery().clean());
+  EXPECT_EQ(buffered_count.stats().read_ops, 1 + 4 * segments);
 }
 
 // ----------------------------------------------------------- compaction
