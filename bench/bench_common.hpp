@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/simulation.hpp"
 
@@ -57,6 +58,15 @@ class JsonObject {
   }
   JsonObject& add(const std::string& key, const std::string& v) {
     return raw(key, "\"" + v + "\"");
+  }
+  JsonObject& add(const std::string& key, const std::vector<double>& v) {
+    std::string list = "[";
+    char buf[64];
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      std::snprintf(buf, sizeof(buf), "%s%.6g", i == 0 ? "" : ", ", v[i]);
+      list += buf;
+    }
+    return raw(key, list + "]");
   }
 
   bool write(const std::string& path) const {

@@ -8,9 +8,11 @@
 // latency, and cold+warm fan-out scan times vs thread-pool size, then
 // google-benchmark timings of the primitives.
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "faultfs/fault.hpp"
@@ -120,44 +122,83 @@ void print_artifact() {
   std::vector<telemetry::MetricId> ids(metrics);
   for (std::uint32_t m = 0; m < metrics; ++m) ids[m] = m;
   const util::TimeRange range{0, span};
+  const auto timed_scan = [&](util::ThreadPool& pool, std::uint64_t* got) {
+    const auto s0 = Clock::now();
+    const auto runs = st.query_many(ids, range, &pool);
+    const double elapsed = seconds_since(s0);
+    *got = 0;
+    for (const auto& run : runs) *got += run.samples.size();
+    benchmark::DoNotOptimize(*got);
+    return elapsed;
+  };
 
   util::TextTable t({"threads", "scan time", "events/s", "speedup"});
-  double serial_s = 0.0;
-  double two_thread_s = 0.0;
+  double serial_best = 0.0;
   for (const std::size_t threads : {1u, 2u, 4u}) {
     util::ThreadPool pool(threads);
     double best = 1e30;
     std::uint64_t got = 0;
     for (int rep = 0; rep < 3; ++rep) {
-      const auto s0 = Clock::now();
-      const auto runs = st.query_many(ids, range, &pool);
-      const double elapsed = seconds_since(s0);
-      best = std::min(best, elapsed);
-      got = 0;
-      for (const auto& run : runs) got += run.samples.size();
-      benchmark::DoNotOptimize(got);
+      best = std::min(best, timed_scan(pool, &got));
     }
-    if (threads == 1) serial_s = best;
-    if (threads == 2) two_thread_s = best;
+    if (threads == 1) serial_best = best;
     t.add_row({std::to_string(threads), util::fmt_double(1e3 * best, 1) + " ms",
                util::fmt_si(static_cast<double>(got) / best, "events/s", 2),
-               util::fmt_double(serial_s / best, 2) + "x"});
+               util::fmt_double(serial_best / best, 2) + "x"});
   }
   std::printf("%s\n", t.str().c_str());
+  // The gate's verdict is the median of serial/2-thread ratios over
+  // back-to-back pairs whose order alternates, so neither which side runs
+  // warmer nor one noisy pair decides it (single best-of-3 pairs read
+  // anywhere from 0.85x to 1.80x on one 4-vCPU host).
+  constexpr int kScanPairs = 7;
+  std::vector<double> scan_ratios;
+  std::vector<double> serial_times;
+  std::vector<double> two_thread_times;
+  {
+    util::ThreadPool serial_pool(1);
+    util::ThreadPool two_pool(2);
+    std::uint64_t got = 0;
+    for (int pair = 0; pair < kScanPairs; ++pair) {
+      double serial = 0.0;
+      double two = 0.0;
+      if (pair % 2 == 0) {
+        serial = timed_scan(serial_pool, &got);
+        two = timed_scan(two_pool, &got);
+      } else {
+        two = timed_scan(two_pool, &got);
+        serial = timed_scan(serial_pool, &got);
+      }
+      serial_times.push_back(serial);
+      two_thread_times.push_back(two);
+      scan_ratios.push_back(serial / two);
+    }
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double scan_speedup = median(scan_ratios);
+  const double serial_s = median(serial_times);
+  const double two_thread_s = median(two_thread_times);
+  std::printf("serial/2-thread ratios over %d alternating pairs:", kScanPairs);
+  for (const double r : scan_ratios) std::printf(" %.2f", r);
+  std::printf("\n");
   // The decode-bound scan can only beat serial with real cores to fan
   // out to; on a 1-thread host the comparison is noise, not a verdict,
   // and the gate records that it was skipped rather than passed.
-  const double scan_speedup = serial_s / two_thread_s;
   const bool multi_core = std::thread::hardware_concurrency() >= 2;
   const bool gate_scan_parallel = multi_core && scan_speedup >= 1.5;
   if (multi_core) {
-    std::printf("parallel scan (2 threads) vs serial: %.2fx -- %s "
-                "(target >= 1.5x)\n\n",
-                scan_speedup, gate_scan_parallel ? "MET" : "NOT MET");
+    std::printf("parallel scan (2 threads) vs serial, median of %d pairs: "
+                "%.2fx -- %s (target >= 1.5x)\n\n",
+                kScanPairs, scan_speedup,
+                gate_scan_parallel ? "MET" : "NOT MET");
   } else {
-    std::printf("parallel scan (2 threads) vs serial: %.2fx (single "
-                "hardware thread -- speedup not measurable)\n\n",
-                scan_speedup);
+    std::printf("parallel scan (2 threads) vs serial, median of %d pairs: "
+                "%.2fx (single hardware thread -- speedup not "
+                "measurable)\n\n",
+                kScanPairs, scan_speedup);
   }
 
   // Decoded-block cache: a dashboard re-rendering the same roll-up (the
@@ -359,6 +400,7 @@ void print_artifact() {
       .add("gate_write", rate >= target)
       .add("scan_serial_ms", 1e3 * serial_s)
       .add("scan_two_thread_ms", 1e3 * two_thread_s)
+      .add("scan_parallel_ratios", scan_ratios)
       .add("scan_parallel_speedup", scan_speedup);
   if (multi_core) {
     json.add("gate_scan_parallel", gate_scan_parallel);

@@ -1,6 +1,7 @@
 #include "cluster/coordinator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <optional>
 
@@ -18,7 +19,8 @@ namespace {
 
 /// Shard scan legs ride the wire protocol's scan method, which bounds a
 /// request to this many metric ids — so node fan-ins above it cannot be
-/// clustered (the coordinator rejects them instead of silently cropping).
+/// clustered on raw legs (the coordinator rejects them instead of
+/// silently cropping). cluster_sum's node-means legs have no such cap.
 constexpr std::size_t kMaxScanIds = 4096;
 
 [[nodiscard]] server::ClientOptions client_options(
@@ -46,6 +48,44 @@ constexpr std::size_t kMaxScanIds = 4096;
     ids.push_back(telemetry::metric_id(n, channel));
   }
   return ids;
+}
+
+/// A scatter leg of `parent`: `method` with the parent's deadline and
+/// QoS identity — a batch tenant's fan-out must compete as that tenant on
+/// every shard, not as an anonymous normal-class coordinator.
+[[nodiscard]] wire::Request leg_of(const wire::Request& parent,
+                                   wire::Method method) {
+  wire::Request leg;
+  leg.method = method;
+  leg.deadline_ms = parent.deadline_ms;
+  leg.qos_class = parent.qos_class;
+  leg.tenant = parent.tenant;
+  return leg;
+}
+
+/// A raw scan leg of `parent` over `ids` in `range`.
+[[nodiscard]] wire::Request scan_leg(const wire::Request& parent,
+                                     std::vector<telemetry::MetricId> ids,
+                                     util::TimeRange range) {
+  wire::Request leg = leg_of(parent, wire::Method::kScan);
+  leg.metrics = std::move(ids);
+  leg.range = range;
+  return leg;
+}
+
+/// A shard's raw runs in node-means form, coarsened here exactly as a
+/// node-means shard coarsens them.
+[[nodiscard]] std::vector<store::MetricRun> coarsen_runs(
+    std::span<const telemetry::MetricId> ids,
+    const std::vector<store::MetricRun>& raw, util::TimeRange range,
+    util::TimeSec window) {
+  const std::vector<store::MetricRun>* parts[] = {&raw};
+  std::vector<store::MetricRun> runs = merge_runs(ids, parts);
+  for (store::MetricRun& run : runs) {
+    run = store::window_means(run.id,
+                              ts::coarsen(run.samples, window, range));
+  }
+  return runs;
 }
 
 }  // namespace
@@ -91,10 +131,12 @@ wire::Response Coordinator::call_shard(Link& link, wire::Request request,
     request.deadline_ms = static_cast<std::uint32_t>(
         std::clamp<std::int64_t>(left_ms, 1, 0xffffffffLL));
   }
-  // Scan legs stream back chunked (unless the caller already chose a
-  // size): results are identical byte-for-byte, the shard just never
-  // materializes the leg. Old shards trigger the Client's downgrade.
-  if (request.method == wire::Method::kScan &&
+  // Scan and node-means legs stream back chunked (unless the caller
+  // already chose a size): results are identical byte-for-byte, the
+  // shard just never sends one oversized frame. Old shards trigger the
+  // Client's downgrade.
+  if ((request.method == wire::Method::kScan ||
+       request.method == wire::Method::kNodeMeans) &&
       options_.leg_chunk_bytes != 0 && request.chunk_bytes == 0) {
     request.chunk_bytes = options_.leg_chunk_bytes;
   }
@@ -162,6 +204,15 @@ std::vector<wire::Response> Coordinator::scatter(const wire::Request& sub,
                                                  util::TimeRange range,
                                                  std::int64_t deadline_us,
                                                  store::QueryStats* stats) {
+  return scatter(range, deadline_us, stats, [&](Link& link) {
+    return call_shard(link, sub, deadline_us);
+  });
+}
+
+std::vector<wire::Response> Coordinator::scatter(util::TimeRange range,
+                                                 std::int64_t deadline_us,
+                                                 store::QueryStats* stats,
+                                                 const Leg& leg) {
   const auto outcomes = net::fan_out(
       links_.size(),
       [&](std::size_t i) -> std::optional<wire::Response> {
@@ -169,7 +220,7 @@ std::vector<wire::Response> Coordinator::scatter(const wire::Request& sub,
         std::lock_guard lk(link.mu);
         ensure_directory(link, deadline_us);
         if (options_.prune && !may_hold(link, range)) return std::nullopt;
-        return call_shard(link, sub, deadline_us);
+        return leg(link);
       });
 
   std::vector<wire::Response> oks;
@@ -262,49 +313,21 @@ wire::Response Coordinator::execute(const wire::Request& request,
         resp.message = "cluster_sum wants nodes";
         break;
       }
-      if (request.nodes.size() > kMaxScanIds) {
-        resp.status = wire::Status::kInvalidArgument;
-        resp.message = "too many nodes for a clustered scatter";
-        break;
-      }
       if (!server::grid_ok(request.range, request.window, &why)) {
         resp.status = wire::Status::kInvalidArgument;
         resp.message = std::move(why);
         break;
       }
-      // The scan ids carry the requested channel, exactly as the
-      // store-backed executor hands request.channel to store::cluster_sum
-      // — a GPU-temperature roll-up must never come back as input power.
-      const std::vector<telemetry::MetricId> ids =
-          channel_ids(request.nodes, request.channel);
-      wire::Request sub;
-      sub.method = wire::Method::kScan;
-      sub.deadline_ms = request.deadline_ms;
-      // Scatter legs inherit the caller's QoS identity: a batch tenant's
-      // fan-out must compete as that tenant on every shard, not as an
-      // anonymous normal-class coordinator.
-      sub.qos_class = request.qos_class;
-      sub.tenant = request.tenant;
-      sub.metrics = ids;
-      sub.range = request.range;
-      const auto oks = scatter(sub, request.range, deadline_us, &resp.stats);
-      std::vector<const std::vector<store::MetricRun>*> parts;
-      parts.reserve(oks.size());
-      for (const wire::Response& ok : oks) parts.push_back(&ok.runs);
-      const std::vector<store::MetricRun> runs = merge_runs(ids, parts);
-      // The raw samples travel; coarsening and the node-order reduction
-      // happen here, through the same store::reduce_cluster_sum the
-      // unsharded roll-up runs — shard grouping cannot perturb a digit.
-      std::vector<ts::StatSeries> per_node;
-      per_node.reserve(runs.size());
-      for (const store::MetricRun& run : runs) {
-        per_node.push_back(
-            ts::coarsen(run.samples, request.window, request.range));
-      }
-      resp.series = store::reduce_cluster_sum(per_node, request.range,
-                                              request.window, &resp.counts);
+      cluster_sum(request, deadline_us, &resp);
       break;
     }
+    case wire::Method::kNodeMeans:
+      // A shard-internal leg; answering it here would hide a mid-rebalance
+      // id split from the caller, so a stacked coordinator's parent takes
+      // the raw path against this one instead.
+      resp.status = wire::Status::kUnimplemented;
+      resp.message = "node_means is served by shards, not a coordinator";
+      break;
     case wire::Method::kPueRollup: {
       if (request.nodes.empty()) {
         resp.status = wire::Status::kInvalidArgument;
@@ -336,14 +359,8 @@ wire::Response Coordinator::execute(const wire::Request& request,
       const std::vector<telemetry::MetricId> ids = channel_ids(
           request.nodes,
           telemetry::channel_of(telemetry::MetricKind::kInputPower, 0));
-      wire::Request sub;
-      sub.method = wire::Method::kScan;
-      sub.deadline_ms = request.deadline_ms;
-      sub.qos_class = request.qos_class;  // legs inherit QoS identity
-      sub.tenant = request.tenant;
-      sub.metrics = ids;
-      sub.range = range;
-      const auto oks = scatter(sub, range, deadline_us, &resp.stats);
+      const auto oks = scatter(scan_leg(request, ids, range), range,
+                               deadline_us, &resp.stats);
       std::vector<const std::vector<store::MetricRun>*> parts;
       parts.reserve(oks.size());
       for (const wire::Response& ok : oks) parts.push_back(&ok.runs);
@@ -375,11 +392,7 @@ wire::Response Coordinator::execute(const wire::Request& request,
       break;
     }
     case wire::Method::kDirectory: {
-      wire::Request sub;
-      sub.method = wire::Method::kDirectory;
-      sub.deadline_ms = request.deadline_ms;
-      sub.qos_class = request.qos_class;  // legs inherit QoS identity
-      sub.tenant = request.tenant;
+      wire::Request sub = leg_of(request, wire::Method::kDirectory);
       const util::TimeRange everything{
           std::numeric_limits<util::TimeSec>::min(),
           std::numeric_limits<util::TimeSec>::max()};
@@ -429,14 +442,8 @@ wire::Response Coordinator::execute(const wire::Request& request,
       const std::vector<telemetry::MetricId> ids = channel_ids(
           request.nodes,
           telemetry::channel_of(telemetry::MetricKind::kInputPower, 0));
-      wire::Request sub;
-      sub.method = wire::Method::kScan;
-      sub.deadline_ms = request.deadline_ms;
-      sub.qos_class = request.qos_class;  // legs inherit QoS identity
-      sub.tenant = request.tenant;
-      sub.metrics = ids;
-      sub.range = opts.range;
-      const auto oks = scatter(sub, opts.range, deadline_us, &resp.stats);
+      const auto oks = scatter(scan_leg(request, ids, opts.range),
+                               opts.range, deadline_us, &resp.stats);
       std::vector<const std::vector<store::MetricRun>*> parts;
       parts.reserve(oks.size());
       for (const wire::Response& ok : oks) parts.push_back(&ok.runs);
@@ -447,6 +454,92 @@ wire::Response Coordinator::execute(const wire::Request& request,
     }
   }
   return resp;
+}
+
+void Coordinator::cluster_sum(const wire::Request& request,
+                              std::int64_t deadline_us,
+                              wire::Response* resp) {
+  // The scan ids carry the requested channel, exactly as the
+  // store-backed executor hands request.channel to store::cluster_sum
+  // — a GPU-temperature roll-up must never come back as input power.
+  const std::vector<telemetry::MetricId> ids =
+      channel_ids(request.nodes, request.channel);
+  wire::Request means = leg_of(request, wire::Method::kNodeMeans);
+  means.nodes = request.nodes;
+  means.channel = request.channel;
+  means.range = request.range;
+  means.window = request.window;
+  const wire::Request raw = scan_leg(request, ids, request.range);
+  std::atomic<bool> too_wide{false};
+  const auto oks =
+      scatter(request.range, deadline_us, &resp->stats, [&](Link& link) {
+        wire::Response leg = call_shard(link, means, deadline_us);
+        // A shard that predates node means cannot decode the leg
+        // (INVALID_ARGUMENT) or does not serve it (UNIMPLEMENTED): ask it
+        // for raw runs and coarsen them here, as it would have.
+        if (leg.status != wire::Status::kInvalidArgument &&
+            leg.status != wire::Status::kUnimplemented) {
+          return leg;
+        }
+        if (ids.size() > kMaxScanIds) {
+          too_wide = true;
+          return leg;
+        }
+        leg = call_shard(link, raw, deadline_us);
+        if (leg.status == wire::Status::kOk) {
+          leg.runs = coarsen_runs(ids, leg.runs, request.range,
+                                  request.window);
+        }
+        return leg;
+      });
+  std::vector<const std::vector<store::MetricRun>*> parts;
+  parts.reserve(oks.size());
+  for (const wire::Response& ok : oks) parts.push_back(&ok.runs);
+  std::optional<std::vector<ts::StatSeries>> per_node;
+  if (!too_wide) {
+    per_node =
+        merge_node_means(ids, parts, request.range, request.window);
+  }
+  if (!per_node) {
+    // An id split across shards (mid-rebalance) needs the raw path, and
+    // so does an old shard, whose leg cluster_sum_raw refuses when the
+    // fan-in is wider than a raw leg may carry. Start over, charging
+    // each loss once.
+    resp->stats = {};
+    cluster_sum_raw(request, ids, deadline_us, resp);
+    return;
+  }
+  // Node-order reduction through the same store::reduce_cluster_sum the
+  // unsharded roll-up runs — shard grouping cannot perturb a digit.
+  resp->series = store::reduce_cluster_sum(*per_node, request.range,
+                                           request.window, &resp->counts);
+}
+
+void Coordinator::cluster_sum_raw(
+    const wire::Request& request,
+    const std::vector<telemetry::MetricId>& ids, std::int64_t deadline_us,
+    wire::Response* resp) {
+  if (ids.size() > kMaxScanIds) {
+    resp->status = wire::Status::kInvalidArgument;
+    resp->message = "too many nodes for a clustered scatter";
+    return;
+  }
+  const auto oks = scatter(scan_leg(request, ids, request.range),
+                           request.range, deadline_us, &resp->stats);
+  std::vector<const std::vector<store::MetricRun>*> parts;
+  parts.reserve(oks.size());
+  for (const wire::Response& ok : oks) parts.push_back(&ok.runs);
+  const std::vector<store::MetricRun> runs = merge_runs(ids, parts);
+  // The raw samples travel; coarsening and the node-order reduction
+  // happen here.
+  std::vector<ts::StatSeries> per_node;
+  per_node.reserve(runs.size());
+  for (const store::MetricRun& run : runs) {
+    per_node.push_back(
+        ts::coarsen(run.samples, request.window, request.range));
+  }
+  resp->series = store::reduce_cluster_sum(per_node, request.range,
+                                           request.window, &resp->counts);
 }
 
 server::QueryService::Executor Coordinator::executor() {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -38,9 +39,9 @@ struct CoordinatorOptions {
   /// Opt in only for a quiesced cluster (no concurrent ingest), and
   /// refresh_directories() after any flush/rebalance.
   bool prune = false;
-  /// Scatter kScan legs as chunked streams of about this payload size,
-  /// so a shard's scan flows through its stream gate instead of
-  /// materializing per leg. 0 = classic single-frame legs. Safe against
+  /// Scatter kScan and kNodeMeans legs as chunked streams of about this
+  /// payload size, so a shard's answer flows through its stream gate
+  /// instead of one frame per leg. 0 = classic single-frame legs. Safe against
   /// old shards: the Client's per-connection downgrade retries plain.
   std::uint32_t leg_chunk_bytes = 256 << 10;
 };
@@ -74,6 +75,9 @@ struct ShardStats {
 /// shard with the parent's remaining deadline, and merges partials back
 /// into the single-store answer shapes — bit-identical to one Store
 /// holding the union of the shards (gated by `ctest -L cluster`).
+/// A cluster_sum ships per-node window means (kNodeMeans legs) instead
+/// of raw samples; raw scan legs remain the fallback for shards that
+/// predate those legs and for ids split across shards mid-rebalance.
 ///
 /// Degraded reads: a shard that is down, times out, or sheds does not
 /// fail the query. Its would-have-been contribution is charged to
@@ -136,11 +140,30 @@ class Coordinator {
                                         util::TimeRange range) const;
   [[nodiscard]] bool may_hold(const Link& link, util::TimeRange range) const;
 
-  /// Scatter `sub` to every shard that may hold data in `range`, merge
+  /// One shard's part of a scatter, run with the link locked.
+  using Leg = std::function<wire::Response(Link&)>;
+
+  /// Run `leg` on every shard that may hold data in `range`, merge
   /// degradation accounting into `stats`, and return the OK responses.
+  [[nodiscard]] std::vector<wire::Response> scatter(
+      util::TimeRange range, std::int64_t deadline_us,
+      store::QueryStats* stats, const Leg& leg);
+  /// The common leg: send `sub` as it is.
   [[nodiscard]] std::vector<wire::Response> scatter(
       const wire::Request& sub, util::TimeRange range,
       std::int64_t deadline_us, store::QueryStats* stats);
+
+  /// kClusterSum on node-means legs: each shard coarsens its own nodes
+  /// and ships window means; the reduction runs here in node order.
+  /// Falls back to `cluster_sum_raw` when an id comes back from two
+  /// shards.
+  void cluster_sum(const wire::Request& request, std::int64_t deadline_us,
+                   wire::Response* resp);
+  /// kClusterSum on raw scan legs, coarsened here (at most kMaxScanIds
+  /// nodes).
+  void cluster_sum_raw(const wire::Request& request,
+                       const std::vector<telemetry::MetricId>& ids,
+                       std::int64_t deadline_us, wire::Response* resp);
 
   CoordinatorOptions options_;
   util::Clock& clock_;

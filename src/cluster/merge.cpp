@@ -61,4 +61,48 @@ std::vector<store::MetricRun> merge_runs(
   return out;
 }
 
+std::optional<std::vector<ts::StatSeries>> merge_node_means(
+    std::span<const telemetry::MetricId> ids,
+    std::span<const std::vector<store::MetricRun>* const> parts,
+    util::TimeRange range, util::TimeSec window) {
+  // Duplicate requested ids share their first slot's owner, as
+  // merge_runs gives every duplicate the full run.
+  std::unordered_map<telemetry::MetricId, std::size_t> index;
+  index.reserve(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) index.emplace(ids[i], i);
+  std::vector<const store::MetricRun*> owner(ids.size(), nullptr);
+  std::unordered_set<telemetry::MetricId> seen;
+  for (const std::vector<store::MetricRun>* part : parts) {
+    if (part == nullptr) continue;
+    seen.clear();
+    for (const store::MetricRun& run : *part) {
+      const auto it = index.find(run.id);
+      if (it == index.end()) continue;
+      if (!seen.insert(run.id).second) continue;  // a duplicate's copy
+      if (run.samples.empty()) continue;
+      if (owner[it->second] != nullptr) return std::nullopt;
+      owner[it->second] = &run;
+    }
+  }
+  const auto n_windows =
+      static_cast<std::size_t>((range.duration() + window - 1) / window);
+  std::vector<ts::StatSeries> out;
+  out.reserve(ids.size());
+  for (const telemetry::MetricId id : ids) {
+    std::vector<ts::WindowStats> windows(n_windows);
+    if (const store::MetricRun* run = owner[index.at(id)]; run != nullptr) {
+      for (const ts::Sample& s : run->samples) {
+        EXA_CHECK(s.t >= range.begin && s.t < range.end &&
+                      (s.t - range.begin) % window == 0,
+                  "node means off the window grid");
+        const auto w = static_cast<std::size_t>((s.t - range.begin) / window);
+        windows[w].count = 1;
+        windows[w].mean = s.value;
+      }
+    }
+    out.emplace_back(range.begin, window, std::move(windows));
+  }
+  return out;
+}
+
 }  // namespace exawatt::cluster

@@ -93,7 +93,8 @@ std::uint64_t CostModel::price(const server::wire::Request& request) const {
       cost += blocks_for(request.metrics, request.range) *
               profile_.block_decode_us;
       break;
-    case Method::kClusterSum: {
+    case Method::kClusterSum:
+    case Method::kNodeMeans: {  // a cluster_sum leg: the same store work
       std::vector<telemetry::MetricId> ids;
       ids.reserve(request.nodes.size());
       for (const machine::NodeId n : request.nodes) {

@@ -61,7 +61,8 @@ class CostModel {
   ///  - ping / server_stats / directory / subscribe: the floor (stats
   ///    answer from counters; a subscription's cost is open-ended and
   ///    priced by its admission, not its lifetime).
-  ///  - window_sum / scan / cluster_sum: floor + blocks * decode.
+  ///  - window_sum / scan / cluster_sum (and its node_means shard leg):
+  ///    floor + blocks * decode.
   ///  - pue_rollup: the above + replay of every decoded event.
   ///  - scenario / sweep: replay term additionally multiplied by
   ///    2 * variants (each leg replays baseline + intervention).

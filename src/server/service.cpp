@@ -312,6 +312,30 @@ wire::Response execute_on_store(const store::Store& store,
                              nullptr, &resp.stats);
       break;
     }
+    case wire::Method::kNodeMeans: {
+      if (request.nodes.empty()) {
+        resp.status = wire::Status::kInvalidArgument;
+        resp.message = "node_means wants nodes";
+        break;
+      }
+      if (!grid_ok(request.range, request.window, &why)) {
+        resp.status = wire::Status::kInvalidArgument;
+        resp.message = std::move(why);
+        break;
+      }
+      // cluster_sum's per-node stage, shipped instead of reduced: the
+      // coordinator reduces every shard's means in node order.
+      const std::vector<ts::StatSeries> per_node = store::coarsen_nodes(
+          store, request.nodes, request.channel, request.range,
+          request.window, nullptr, &resp.stats);
+      resp.runs.reserve(per_node.size());
+      for (std::size_t i = 0; i < per_node.size(); ++i) {
+        resp.runs.push_back(store::window_means(
+            telemetry::metric_id(request.nodes[i], request.channel),
+            per_node[i]));
+      }
+      break;
+    }
     case wire::Method::kPueRollup: {
       if (request.nodes.empty()) {
         resp.status = wire::Status::kInvalidArgument;

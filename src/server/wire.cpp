@@ -139,7 +139,7 @@ store::QueryStats read_stats(Reader& r) {
 
 Method read_method(Reader& r) {
   const std::uint8_t m = r.u8();
-  if (m > static_cast<std::uint8_t>(Method::kScanBlocks)) {
+  if (m > static_cast<std::uint8_t>(Method::kNodeMeans)) {
     throw WireError("unknown method " + std::to_string(int{m}));
   }
   return static_cast<Method>(m);
@@ -254,6 +254,7 @@ const char* method_name(Method m) {
     case Method::kScenario: return "scenario";
     case Method::kScenarioSweep: return "scenario_sweep";
     case Method::kScanBlocks: return "scan_blocks";
+    case Method::kNodeMeans: return "node_means";
   }
   return "unknown";
 }
@@ -295,6 +296,7 @@ std::vector<std::uint8_t> encode_request(const Request& req) {
       break;
     case Method::kClusterSum:
     case Method::kPueRollup:
+    case Method::kNodeMeans:
       w.u64(req.nodes.size());
       for (const machine::NodeId n : req.nodes) w.u32(static_cast<std::uint32_t>(n));
       w.u32(static_cast<std::uint32_t>(req.channel));
@@ -376,7 +378,8 @@ Request decode_request(std::span<const std::uint8_t> payload) {
       break;
     }
     case Method::kClusterSum:
-    case Method::kPueRollup: {
+    case Method::kPueRollup:
+    case Method::kNodeMeans: {
       const std::size_t n = r.count(4);
       req.nodes.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -465,6 +468,7 @@ std::vector<std::uint8_t> encode_response(const Response& resp) {
       write_stats(w, resp.stats);
       break;
     case Method::kScan:
+    case Method::kNodeMeans:
       w.u64(resp.runs.size());
       for (const store::MetricRun& run : resp.runs) {
         w.u32(run.id);
@@ -620,7 +624,8 @@ Response decode_response(std::span<const std::uint8_t> payload) {
       resp.stats = read_stats(r);
       break;
     }
-    case Method::kScan: {
+    case Method::kScan:
+    case Method::kNodeMeans: {
       const std::size_t n_runs = r.count(12);
       resp.runs.reserve(n_runs);
       for (std::size_t i = 0; i < n_runs; ++i) {

@@ -46,6 +46,14 @@ enum class Method : std::uint8_t {
   /// predates it ignores the tag and answers classic kScan, so the
   /// decoder must accept either method back.
   kScanBlocks = 10,
+  /// Shard-internal leg of a clustered kClusterSum. The request has
+  /// kClusterSum's layout; the answer has kScan's run encoding, one run
+  /// per requested node (id `metric_id(node, channel)`, request order)
+  /// whose samples are (window start, mean) for every window where the
+  /// node's coarsened series holds data — all `store::reduce_cluster_sum`
+  /// reads of a node. A shard that predates it answers INVALID_ARGUMENT
+  /// ("unknown method") and the coordinator asks it for raw runs instead.
+  kNodeMeans = 11,
 };
 
 /// A sweep request is bounded so one frame cannot demand unbounded
@@ -78,8 +86,9 @@ struct Request {
 
   telemetry::MetricId metric = 0;              // kWindowSum
   std::vector<telemetry::MetricId> metrics;    // kScan
-  std::vector<machine::NodeId> nodes;          // kClusterSum / kPueRollup
-  int channel = 0;                             // kClusterSum
+  std::vector<machine::NodeId> nodes;          // kClusterSum / kPueRollup /
+                                               // kNodeMeans
+  int channel = 0;                             // kClusterSum / kNodeMeans
   util::TimeRange range{0, 0};
   util::TimeSec window = 10;
 
@@ -187,7 +196,7 @@ struct Response {
   std::uint64_t shed_cost_hint_us = 0;
 
   store::WindowSum window_sum;          // kWindowSum
-  std::vector<store::MetricRun> runs;   // kScan
+  std::vector<store::MetricRun> runs;   // kScan / kNodeMeans
   ts::Series series;                    // kClusterSum / kPueRollup power
                                         // (kScenario: variant power)
   std::vector<double> counts;           // kClusterSum contributing nodes

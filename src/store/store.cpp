@@ -716,18 +716,17 @@ ts::Series reduce_cluster_sum(std::span<const ts::StatSeries> per_node,
   return ts::Series(range.begin, window, std::move(sum));
 }
 
-ts::Series cluster_sum(const Store& store,
-                       const std::vector<machine::NodeId>& nodes, int channel,
-                       util::TimeRange range, util::TimeSec window,
-                       std::vector<double>* counts, util::ThreadPool* pool,
-                       QueryStats* stats) {
+std::vector<ts::StatSeries> coarsen_nodes(
+    const Store& store, const std::vector<machine::NodeId>& nodes,
+    int channel, util::TimeRange range, util::TimeSec window,
+    util::ThreadPool* pool, QueryStats* stats) {
   struct NodeScan {
     ts::StatSeries stat;
     QueryStats stats;
   };
   // Same shape as telemetry::cluster_sum — per-node scans fan out, the
-  // serial reduction accumulates in node order, so the result is
-  // bit-identical to the in-memory path on an identical event stream.
+  // caller reduces in node order, so the result is bit-identical to the
+  // in-memory path on an identical event stream.
   auto per_node = util::parallel_map(
       nodes.size(),
       [&](std::size_t i) {
@@ -745,7 +744,28 @@ ts::Series cluster_sum(const Store& store,
     if (stats != nullptr) stats->merge(scan.stats);
     stats_only.push_back(std::move(scan.stat));
   }
-  return reduce_cluster_sum(stats_only, range, window, counts);
+  return stats_only;
+}
+
+MetricRun window_means(telemetry::MetricId id, const ts::StatSeries& stat) {
+  MetricRun run;
+  run.id = id;
+  for (std::size_t w = 0; w < stat.size(); ++w) {
+    if (stat[w].count > 0) {
+      run.samples.push_back({stat.time_at(w), stat[w].mean});
+    }
+  }
+  return run;
+}
+
+ts::Series cluster_sum(const Store& store,
+                       const std::vector<machine::NodeId>& nodes, int channel,
+                       util::TimeRange range, util::TimeSec window,
+                       std::vector<double>* counts, util::ThreadPool* pool,
+                       QueryStats* stats) {
+  return reduce_cluster_sum(
+      coarsen_nodes(store, nodes, channel, range, window, pool, stats), range,
+      window, counts);
 }
 
 }  // namespace exawatt::store

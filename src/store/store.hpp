@@ -332,6 +332,23 @@ class Store {
     std::span<const ts::StatSeries> per_node, util::TimeRange range,
     util::TimeSec window, std::vector<double>* counts = nullptr);
 
+/// The per-node stage of every cluster_sum flavor: each node's `channel`
+/// read from the store and coarsened onto the window grid, one series per
+/// node in `nodes` order. Per-node scans fan out across `pool`; `stats`
+/// (optional) gathers their degradation accounting.
+[[nodiscard]] std::vector<ts::StatSeries> coarsen_nodes(
+    const Store& store, const std::vector<machine::NodeId>& nodes,
+    int channel, util::TimeRange range, util::TimeSec window,
+    util::ThreadPool* pool = nullptr, QueryStats* stats = nullptr);
+
+/// A node's coarsened series in the shape a shard ships it to the cluster
+/// coordinator: one (window start, mean) sample per window holding data.
+/// That is everything `reduce_cluster_sum` reads of a node, so a
+/// reduction over these (re-gridded by `cluster::merge_node_means`)
+/// bit-matches one over the full series.
+[[nodiscard]] MetricRun window_means(telemetry::MetricId id,
+                                     const ts::StatSeries& stat);
+
 /// Cluster-level roll-up of one channel across nodes, read from the store
 /// — the disk-backed twin of `telemetry::cluster_sum` (bit-identical on
 /// identical event streams). Per-node scans fan out across `pool`.

@@ -2,15 +2,17 @@
 // primitive, the merge algebra (window-sum grids, metric runs, query
 // stats), partition-parity properties — any shard partition of a feed
 // must answer bit-identically to one store holding the union, including
-// with one shard dropped — and the rebalance protocol, including a
+// with one shard dropped — the rebalance protocol, including a
 // crash-at-every-write-point sweep that must never lose or duplicate a
-// committed event.
+// committed event, and the coordinator's node-means cluster_sum over
+// served shards with its raw-leg fallbacks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -22,6 +24,7 @@
 #include "cluster/shard_map.hpp"
 #include "e2e_rig.hpp"
 #include "net/fanout.hpp"
+#include "server/service.hpp"
 #include "store/store.hpp"
 #include "telemetry/metric.hpp"
 #include "ts/series.hpp"
@@ -42,10 +45,9 @@ const int kPowerChannel =
 /// Deterministic random feed on the input-power channel of `n_nodes`
 /// nodes: out-of-order timestamps and duplicate instants included, since
 /// the merge algebra must be a pure function of the sample multiset.
-std::vector<telemetry::MetricEvent> make_events(std::uint64_t seed,
-                                                int n_nodes,
-                                                std::size_t count,
-                                                util::TimeRange span) {
+std::vector<telemetry::MetricEvent> make_events(
+    std::uint64_t seed, int n_nodes, std::size_t count, util::TimeRange span,
+    int channel = kPowerChannel) {
   util::Rng rng(seed);
   std::vector<telemetry::MetricEvent> events;
   events.reserve(count);
@@ -55,7 +57,7 @@ std::vector<telemetry::MetricEvent> make_events(std::uint64_t seed,
             static_cast<std::size_t>(n_nodes)));
     const auto t = span.begin + static_cast<util::TimeSec>(rng.uniform_index(
                                     static_cast<std::size_t>(span.duration())));
-    events.push_back({telemetry::metric_id(node, kPowerChannel), t,
+    events.push_back({telemetry::metric_id(node, channel), t,
                       static_cast<std::int32_t>(rng.uniform_index(50'000))});
   }
   return events;
@@ -608,6 +610,271 @@ TEST(Rebalance, CrashAtEveryWritePointNeverLosesACommittedEvent) {
       });
   EXPECT_GT(stats.write_points, 0u);
   EXPECT_EQ(stats.fired, stats.write_points);
+}
+
+// ------------------------------------------- clustered node-means roll-up
+
+using server::wire::Method;
+using server::wire::Request;
+using server::wire::Response;
+using server::wire::Status;
+
+/// A shard that predates node-means legs: its request decoder rejects the
+/// method, which the server answers INVALID_ARGUMENT.
+server::QueryService::Executor pre_node_means(const store::Store& store) {
+  return [inner = server::make_store_executor(store)](
+             const Request& request, const server::CancelToken& cancel,
+             std::int64_t deadline_us,
+             const server::QueryService::Emit& emit,
+             server::ChunkWriter* stream) {
+    if (request.method != Method::kNodeMeans) {
+      return inner(request, cancel, deadline_us, emit, stream);
+    }
+    Response resp;
+    resp.method = request.method;
+    resp.status = Status::kInvalidArgument;
+    resp.message = "unknown method 11";
+    return resp;
+  };
+}
+
+/// Loopback QoS servers over `stores` (as `serve` runs them) and a
+/// coordinator fronting them. The shards listed in `old` serve through
+/// `pre_node_means`.
+class ServedShards {
+ public:
+  explicit ServedShards(const std::vector<const store::Store*>& stores,
+                        const std::vector<std::size_t>& old = {}) {
+    cluster::CoordinatorOptions options;
+    for (std::size_t i = 0; i < stores.size(); ++i) {
+      if (std::find(old.begin(), old.end(), i) != old.end()) {
+        services_.push_back(std::make_unique<server::QueryService>(
+            pre_node_means(*stores[i]), e2e::qos_server_options().service));
+        servers_.push_back(
+            std::make_unique<e2e::LoopbackServer>(*services_.back()));
+      } else {
+        servers_.push_back(std::make_unique<e2e::LoopbackServer>(
+            *stores[i], e2e::qos_server_options()));
+      }
+      options.shards.push_back(
+          {"127.0.0.1", servers_.back()->server().port()});
+    }
+    coordinator_ = std::make_unique<cluster::Coordinator>(options);
+  }
+
+  [[nodiscard]] cluster::Coordinator& coordinator() { return *coordinator_; }
+  /// Take shard `shard`'s endpoint away; its store stays open.
+  void stop(std::size_t shard) { servers_[shard].reset(); }
+
+  /// Scatter legs each shard was sent by `request` (its directory fetch
+  /// on first contact included).
+  [[nodiscard]] std::vector<std::uint64_t> legs(const Request& request,
+                                                Response* resp) {
+    const auto before = coordinator_->shard_stats();
+    *resp = coordinator_->execute(request, nullptr, 0);
+    const auto after = coordinator_->shard_stats();
+    std::vector<std::uint64_t> out;
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      out.push_back(after[i].calls - before[i].calls);
+    }
+    return out;
+  }
+
+ private:
+  // Declared so teardown runs coordinator, servers, services.
+  std::vector<std::unique_ptr<server::QueryService>> services_;
+  std::vector<std::unique_ptr<e2e::LoopbackServer>> servers_;
+  std::unique_ptr<cluster::Coordinator> coordinator_;
+};
+
+Request roll_up(std::vector<machine::NodeId> nodes, int channel,
+                util::TimeRange range, util::TimeSec window) {
+  Request req;
+  req.method = Method::kClusterSum;
+  req.nodes = std::move(nodes);
+  req.channel = channel;
+  req.range = range;
+  req.window = window;
+  return req;
+}
+
+/// `resp` is OK and bit-matches store::cluster_sum of `req` on `full`.
+void expect_roll_up(const Response& resp, const store::Store& full,
+                    const Request& req) {
+  ASSERT_EQ(resp.status, Status::kOk) << resp.message;
+  std::vector<double> counts;
+  const ts::Series want = store::cluster_sum(
+      full, req.nodes, req.channel, req.range, req.window, &counts);
+  EXPECT_TRUE(e2e::series_equal(resp.series, want));
+  EXPECT_EQ(resp.counts, counts);
+}
+
+/// A power and a GPU-temperature feed partitioned over `n_shards` served
+/// stores: the coordinator's node-means roll-up must bit-match
+/// store::cluster_sum on one store holding the union, on both channels,
+/// on a window that does not divide the range, with requested nodes no
+/// shard holds — and every shard answers with a single means leg.
+void check_node_means_parity(std::uint64_t seed, std::size_t n_shards) {
+  SCOPED_TRACE("seed " + std::to_string(seed) + ", shards " +
+               std::to_string(n_shards));
+  const std::string dir = scratch_dir(
+      "node_means_" + std::to_string(seed) + "_" + std::to_string(n_shards));
+  const int n_nodes = 10;
+  const util::TimeRange span{0, 900};
+  auto events = make_events(seed, n_nodes, 6'000, span);
+  const auto gpu = make_events(seed + 1, n_nodes, 3'000, span,
+                               e2e::kGpuTempChannel);
+  events.insert(events.end(), gpu.begin(), gpu.end());
+
+  store::Store full = store::Store::open(dir + "/full", small_segments());
+  fill_store(full, events);
+  std::vector<store::Store> shards;
+  const auto parts = cluster::ShardMap::uniform(n_shards).split(events);
+  for (std::size_t s = 0; s < n_shards; ++s) {
+    shards.push_back(store::Store::open(dir + "/shard" + std::to_string(s),
+                                        small_segments()));
+    fill_store(shards.back(), parts[s]);
+  }
+  std::vector<const store::Store*> stores;
+  for (const store::Store& shard : shards) stores.push_back(&shard);
+  ServedShards served(stores);
+
+  std::vector<machine::NodeId> nodes;
+  for (int n = 0; n < n_nodes; ++n) nodes.push_back(n);
+  nodes.push_back(n_nodes + 7);  // held by no shard
+  nodes.push_back(3);            // a duplicate counts twice, as unsharded
+  for (const int channel : {kPowerChannel, e2e::kGpuTempChannel}) {
+    for (const util::TimeSec window : {util::TimeSec{10}, util::TimeSec{13}}) {
+      SCOPED_TRACE("channel " + std::to_string(channel) + ", window " +
+                   std::to_string(window));
+      const Request req = roll_up(nodes, channel, {100, 800}, window);
+      Response resp;
+      (void)served.legs(req, &resp);  // first contact fetches directories
+      expect_roll_up(resp, full, req);
+      EXPECT_EQ(resp.stats.lost_segments, 0u);
+      EXPECT_EQ(served.legs(req, &resp),
+                std::vector<std::uint64_t>(n_shards, 1));
+      expect_roll_up(resp, full, req);
+    }
+  }
+}
+
+TEST(NodeMeans, OneShard) { check_node_means_parity(0x1A, 1); }
+TEST(NodeMeans, TwoShards) { check_node_means_parity(0x2B, 2); }
+TEST(NodeMeans, ThreeShards) { check_node_means_parity(0x3C, 3); }
+TEST(NodeMeans, FiveShards) { check_node_means_parity(0x5E, 5); }
+
+TEST(NodeMeans, IdsSplitAcrossShardsFallBackToRawLegs) {
+  // RebalanceRig's two stores share ids, as two shards do mid-rebalance:
+  // neither shard's mean is the union's, so the coordinator re-runs the
+  // roll-up on raw legs and still answers like the unsharded store.
+  const RebalanceRig rig = make_rebalance_rig("node_means_split");
+  const store::Store a = store::Store::open(rig.root_a, small_segments());
+  const store::Store b = store::Store::open(rig.root_b, small_segments());
+  const store::Store full =
+      store::Store::open(rig.dir + "/full", small_segments());
+  ServedShards served({&a, &b});
+  const Request req =
+      roll_up({0, 1, 2, 3, 4, 5}, kPowerChannel, rig.range, 10);
+  Response resp;
+  (void)served.legs(req, &resp);
+  expect_roll_up(resp, full, req);
+  EXPECT_EQ(resp.stats.lost_segments, 0u);
+  EXPECT_EQ(served.legs(req, &resp), (std::vector<std::uint64_t>{2, 2}));
+  expect_roll_up(resp, full, req);
+}
+
+/// A 3-way power feed partition, the union store and the shard stores.
+struct Partition {
+  explicit Partition(const std::string& name, int n_nodes = 9,
+                     std::size_t count = 5'000, util::TimeRange span = {0, 600})
+      : dir(scratch_dir(name)),
+        full(store::Store::open(dir + "/full", small_segments())) {
+    const auto events = make_events(0xF6, n_nodes, count, span);
+    fill_store(full, events);
+    const auto parts = cluster::ShardMap::uniform(3).split(events);
+    for (std::size_t s = 0; s < 3; ++s) {
+      shards.push_back(store::Store::open(
+          dir + "/shard" + std::to_string(s), small_segments()));
+      fill_store(shards.back(), parts[s]);
+    }
+  }
+  [[nodiscard]] std::vector<const store::Store*> stores() const {
+    return {&shards[0], &shards[1], &shards[2]};
+  }
+
+  std::string dir;
+  store::Store full;
+  std::vector<store::Store> shards;
+};
+
+TEST(NodeMeans, OldShardGetsARawLegAndTheAnswerIsUnchanged) {
+  Partition p("node_means_old_shard");
+  ServedShards served(p.stores(), {1});
+  const Request req =
+      roll_up({0, 1, 2, 3, 4, 5, 6, 7, 8}, kPowerChannel, {0, 600}, 10);
+  Response resp;
+  (void)served.legs(req, &resp);
+  expect_roll_up(resp, p.full, req);
+  EXPECT_EQ(resp.stats.lost_segments, 0u);
+  // Shard 1 is asked for means, refuses, and answers a raw scan leg.
+  EXPECT_EQ(served.legs(req, &resp), (std::vector<std::uint64_t>{1, 2, 1}));
+  expect_roll_up(resp, p.full, req);
+  EXPECT_EQ(resp.stats.lost_segments, 0u);
+}
+
+TEST(NodeMeans, ShardDownIsChargedLikeARawScan) {
+  Partition p("node_means_shard_down");
+  ServedShards served(p.stores());
+  std::vector<machine::NodeId> nodes = {0, 1, 2, 3, 4, 5, 6, 7, 8};
+  const Request req = roll_up(nodes, kPowerChannel, {0, 600}, 10);
+  Response resp;
+  (void)served.legs(req, &resp);  // caches every shard's directory
+  expect_roll_up(resp, p.full, req);
+
+  served.stop(1);
+  resp = served.coordinator().execute(req, nullptr, 0);
+  ASSERT_EQ(resp.status, Status::kOk) << resp.message;
+  // The raw path's charge for the same outage: a scan of the same ids.
+  Request scan;
+  scan.method = Method::kScan;
+  scan.range = req.range;
+  for (const machine::NodeId n : nodes) {
+    scan.metrics.push_back(telemetry::metric_id(n, kPowerChannel));
+  }
+  const Response raw = served.coordinator().execute(scan, nullptr, 0);
+  ASSERT_EQ(raw.status, Status::kOk);
+  EXPECT_GT(raw.stats.lost_segments, 0u);
+  EXPECT_EQ(resp.stats.lost_segments, raw.stats.lost_segments);
+  // The survivors' roll-up, coarsened from exactly what they hold.
+  std::vector<ts::StatSeries> per_node;
+  for (const store::MetricRun& run : raw.runs) {
+    per_node.push_back(ts::coarsen(run.samples, req.window, req.range));
+  }
+  std::vector<double> counts;
+  EXPECT_TRUE(e2e::series_equal(
+      resp.series,
+      store::reduce_cluster_sum(per_node, req.range, req.window, &counts)));
+  EXPECT_EQ(resp.counts, counts);
+}
+
+TEST(NodeMeans, WholeMachineRollUpIsNotCappedAtTheScanLimit) {
+  // Summit's 4,626 nodes, 60 s: more ids than a raw scan leg may carry.
+  const int n_nodes = 4626;
+  Partition p("node_means_machine", n_nodes, 20'000, {0, 60});
+  std::vector<machine::NodeId> nodes;
+  for (int n = 0; n < n_nodes; ++n) nodes.push_back(n);
+  const Request req = roll_up(nodes, kPowerChannel, {0, 60}, 10);
+  {
+    ServedShards served(p.stores());
+    expect_roll_up(served.coordinator().execute(req, nullptr, 0), p.full,
+                   req);
+  }
+  // An old shard needs raw legs, which keep the cap.
+  ServedShards mixed(p.stores(), {2});
+  const Response resp = mixed.coordinator().execute(req, nullptr, 0);
+  EXPECT_EQ(resp.status, Status::kInvalidArgument);
+  EXPECT_EQ(resp.stats.lost_segments, 0u);
 }
 
 }  // namespace

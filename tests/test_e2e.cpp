@@ -304,7 +304,8 @@ TEST(Cluster, OutageIsChargedExactlyAndRestartAndRebalanceRestoreParity) {
 
   // Kill shard 1's server; its store stays open, only the endpoint dies.
   // The coordinator keeps answering with the survivors' data and charges
-  // exactly shard 1's overlapping segments as lost.
+  // exactly shard 1's overlapping segments as lost, on scans and roll-ups
+  // alike.
   topo.stop_shard(1);
   {
     std::uint64_t overlap = 0;
@@ -319,6 +320,29 @@ TEST(Cluster, OutageIsChargedExactlyAndRestartAndRebalanceRestoreParity) {
     EXPECT_EQ(resp.status, Status::kOk);
     EXPECT_EQ(resp.stats.lost_segments, std::max<std::uint64_t>(overlap, 1));
     EXPECT_TRUE(runs_equal(resp.runs, cluster::merge_runs(req.metrics, parts)));
+
+    // The roll-up's node-means legs charge the same outage as the scan's
+    // raw legs, and roll up exactly what the survivors hold.
+    const Request roll = feed_request(Method::kClusterSum, f);
+    const Response sum = topo.call(roll);
+    ASSERT_EQ(sum.status, Status::kOk) << sum.message;
+    EXPECT_EQ(sum.stats.lost_segments, resp.stats.lost_segments);
+    std::vector<telemetry::MetricId> ids;
+    for (const machine::NodeId n : roll.nodes) {
+      ids.push_back(telemetry::metric_id(n, roll.channel));
+    }
+    const auto r0c = topo.shard(0).query_many(ids, f.window);
+    const auto r2c = topo.shard(2).query_many(ids, f.window);
+    const std::vector<store::MetricRun>* survivors[] = {&r0c, &r2c};
+    std::vector<ts::StatSeries> per_node;
+    for (const store::MetricRun& run : cluster::merge_runs(ids, survivors)) {
+      per_node.push_back(ts::coarsen(run.samples, roll.window, roll.range));
+    }
+    std::vector<double> counts;
+    EXPECT_TRUE(series_equal(
+        sum.series, store::reduce_cluster_sum(per_node, roll.range,
+                                              roll.window, &counts)));
+    EXPECT_EQ(sum.counts, counts);
   }
 
   // Restart shard 1 on a fresh port: full parity comes back without

@@ -918,12 +918,13 @@ TEST(Loopback, MalformedRequestBodyKeepsConnectionAlive) {
 
 TEST(Loopback, UnknownFutureMethodIsTypedErrorNotConnectionFatal) {
   // Mixed-version skew: a newer client speaking a method id this server
-  // has never heard of (the slot after kScenarioSweep) must get a typed
-  // per-request error back, and the connection must keep serving.
+  // has never heard of (the slot after the last known one) must get a
+  // typed per-request error back, and the connection must keep serving.
   server::wire::Request ping;
   ping.method = server::wire::Method::kPing;
   auto payload = server::wire::encode_request(ping);
-  payload[0] = 11;  // one past the known method range (10 = kScanBlocks)
+  payload[0] =  // one past the known method range
+      static_cast<std::uint8_t>(server::wire::Method::kNodeMeans) + 1;
   EXPECT_THROW((void)server::wire::decode_request(payload),
                server::wire::WireError);
 
