@@ -25,7 +25,6 @@
 #include "store/store.hpp"
 #include "util/rng.hpp"
 #include "util/text_table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -100,18 +99,11 @@ void print_artifact() {
   for (std::uint32_t m = 0; m < metrics; ++m) all_ids[m] = m;
   for (auto& shard : shards) (void)shard->query_many(all_ids, {0, span});
 
-  // One pool per in-process service: colocated services sharing the
-  // process-global pool starve each other on small machines (see
-  // DESIGN.md §11) — separate server processes never share one.
-  std::vector<std::unique_ptr<util::ThreadPool>> pools;
   std::vector<std::unique_ptr<server::Server>> servers;
   std::vector<std::thread> loops;
   cluster::CoordinatorOptions copts;
   for (auto& shard : shards) {
-    pools.push_back(std::make_unique<util::ThreadPool>(1));
-    server::ServerOptions opts;
-    opts.service.pool = pools.back().get();
-    servers.push_back(std::make_unique<server::Server>(*shard, opts));
+    servers.push_back(std::make_unique<server::Server>(*shard));
     loops.emplace_back([srv = servers.back().get()] { srv->run(); });
     copts.shards.push_back({"127.0.0.1", servers.back()->port()});
   }

@@ -1,6 +1,9 @@
 #include "server/server.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <utility>
+#include <vector>
 
 #include "server/chunk.hpp"
 
@@ -140,7 +143,7 @@ void Server::on_frame(net::ConnId conn, net::Frame&& frame) {
       if (!writer->terminated()) {
         if (resp.status == wire::Status::kOk) {
           // Materialized-but-chunked path (executor body that ignores
-          // the stream): runs on a pool thread, so blocking on the gate
+          // the stream): runs on a worker thread, so blocking on the gate
           // here is the intended backpressure. A streaming body already
           // terminated the writer and never reaches this.
           const auto payload = wire::encode_response(resp);
@@ -181,10 +184,35 @@ void Server::shutdown() { loop_->stop(); }
 
 void Server::drain(int max_flush_ms) {
   loop_->pause_accept();
-  service_.drain();
+  // A chunked `done` may park on its peer's stream gate, which only this
+  // thread's socket writes release, so the loop keeps turning (while it
+  // still runs) as the service finishes its work. Past max_flush_ms a
+  // peer still holding unsent gated bytes is given up: its token trips
+  // and the parked writer returns.
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(max_flush_ms);
+  bool pumping = true;
+  while (!service_.drain(pumping ? 0 : 20)) {
+    if (pumping) pumping = loop_->run_once(20);
+    if (std::chrono::steady_clock::now() >= give_up) cancel_stalled_peers();
+  }
   for (int waited = 0; waited < max_flush_ms && !loop_->output_idle();
        waited += 20) {
     if (!loop_->run_once(20)) break;
+  }
+}
+
+void Server::cancel_stalled_peers() {
+  std::vector<std::pair<net::ConnId, CancelToken>> peers;
+  {
+    std::lock_guard lk(mu_);
+    peers.assign(tokens_.begin(), tokens_.end());
+  }
+  for (const auto& [conn, token] : peers) {
+    const std::shared_ptr<net::StreamGate> gate = loop_->gate_of(conn);
+    if (gate != nullptr && gate->in_flight() > 0) {
+      token->store(true, std::memory_order_relaxed);
+    }
   }
 }
 

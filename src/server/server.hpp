@@ -51,7 +51,8 @@ class Server {
   /// returns: stop accepting connections, let queued/running requests
   /// finish, then pump the loop until their responses have flushed (or
   /// `max_flush_ms` passes — a peer that stopped reading cannot hold
-  /// shutdown hostage).
+  /// shutdown hostage: once that time is up, work parked on its stream
+  /// gate is cancelled).
   void drain(int max_flush_ms = 5000);
 
  private:
@@ -60,6 +61,8 @@ class Server {
   void on_open(net::ConnId conn);
   void on_close(net::ConnId conn);
   [[nodiscard]] CancelToken token_of(net::ConnId conn);
+  /// Trip the token of every peer with gated bytes it has not taken.
+  void cancel_stalled_peers();
 
   /// Present only when this Server built its own service (store ctor);
   /// `service_` is the single access path either way.

@@ -1,5 +1,6 @@
 #include "server/service.hpp"
 
+#include <chrono>
 #include <limits>
 #include <thread>
 
@@ -445,13 +446,22 @@ QueryService::Executor make_store_executor(const store::Store& store,
 
 namespace {
 
+/// Fills in what a caller may leave out: QoS tuning defaults to
+/// QosOptions{} and the scheduler's queue bound is the service's.
+ServiceOptions resolved(ServiceOptions options) {
+  EXA_CHECK(options.queue_limit > 0, "admission queue must hold something");
+  if (!options.qos) options.qos.emplace();
+  options.qos->scheduler.max_queue = options.queue_limit;
+  return options;
+}
+
 /// The store-backed constructor defaults the QoS block counter to its
 /// own store — pricing and execution then read the same directory.
 ServiceOptions with_store_counter(const store::Store& store,
                                   ServiceOptions options) {
-  if (options.qos && !options.qos->blocks) {
-    options.qos->blocks = qos::store_block_counter(store);
-  }
+  QosOptions qos = options.qos.value_or(QosOptions{});
+  if (!qos.blocks) qos.blocks = qos::store_block_counter(store);
+  options.qos = std::move(qos);
   return options;
 }
 
@@ -463,36 +473,25 @@ QueryService::QueryService(const store::Store& store, ServiceOptions options)
 
 QueryService::QueryService(Executor executor, ServiceOptions options)
     : executor_(std::move(executor)),
-      options_(std::move(options)),
-      pool_(options_.pool != nullptr ? *options_.pool
-                                     : util::ThreadPool::global()),
+      options_(resolved(std::move(options))),
       clock_(options_.clock != nullptr ? *options_.clock
                                        : util::Clock::steady()),
       lat_p50_(0.5),
       lat_p99_(0.99),
       class_p99_{stream::P2Quantile(0.99), stream::P2Quantile(0.99),
-                 stream::P2Quantile(0.99)} {
-  EXA_CHECK(options_.queue_limit > 0, "admission queue must hold something");
+                 stream::P2Quantile(0.99)},
+      qos_cost_(options_.qos->cost, options_.qos->blocks),
+      qos_sched_(options_.qos->scheduler),
+      qos_pool_(&qos_sched_, options_.qos->pool, options_.clock) {
   EXA_CHECK(executor_ != nullptr, "service needs an executor");
-  if (options_.qos) {
-    qos_cost_ = std::make_unique<qos::CostModel>(options_.qos->cost,
-                                                 options_.qos->blocks);
-    qos::SchedulerOptions sched = options_.qos->scheduler;
-    sched.max_queue = options_.queue_limit;
-    qos_sched_ = std::make_unique<qos::Scheduler>(sched);
-    qos_pool_ = std::make_unique<qos::WorkerPool>(
-        qos_sched_.get(), options_.qos->pool, options_.clock);
-  }
 }
 
 QueryService::~QueryService() {
-  if (qos_pool_ != nullptr) qos_pool_->stop();
-  if (qos_sched_ != nullptr) {
-    // Unstarted items at teardown are shed, not leaked: their done
-    // callbacks still fire exactly once.
-    for (qos::Item& item : qos_sched_->drain_all()) {
-      if (item.shed) item.shed();
-    }
+  qos_pool_.stop();
+  // Unstarted items at teardown are shed, not leaked: their done
+  // callbacks still fire exactly once.
+  for (qos::Item& item : qos_sched_.drain_all()) {
+    if (item.shed) item.shed();
   }
 }
 
@@ -547,44 +546,40 @@ wire::Response QueryService::execute(const wire::Request& request,
   return executor_(request, cancel, deadline_us, emit, stream);
 }
 
-void QueryService::finish(std::int64_t admitted_us,
-                          std::optional<qos::Class> cls,
+void QueryService::finish(std::int64_t admitted_us, qos::Class cls,
                           wire::Response&& response, const Done& done) {
   const double latency_ms =
       static_cast<double>(clock_.now_us() - admitted_us) / 1000.0;
-  {
-    std::lock_guard lk(mu_);
-    --depth_;
-    switch (response.status) {
-      case wire::Status::kOk: ++served_; break;
-      case wire::Status::kDeadlineExceeded: ++deadline_exceeded_; break;
-      case wire::Status::kCancelled: ++cancelled_; break;
-      case wire::Status::kInternal: ++failed_; break;
-      default: break;
-    }
-    lat_p50_.add(latency_ms);
-    lat_p99_.add(latency_ms);
-    if (cls) {
-      const auto c = static_cast<std::size_t>(*cls);
-      if (response.status == wire::Status::kOk) ++class_served_[c];
-      class_p99_[c].add(latency_ms);
-    }
-    if (depth_ == 0) idle_cv_.notify_all();
-  }
+  const wire::Status status = response.status;
   done(std::move(response));
+  // Counted only once `done` has returned, in the same critical section
+  // that frees the slot: drain() never returns under a running `done`
+  // (which may still touch the endpoint that owns it), and every
+  // snapshot keeps accepted == settled + queue_depth.
+  std::lock_guard lk(mu_);
+  switch (status) {
+    case wire::Status::kOk: ++served_; break;
+    case wire::Status::kDeadlineExceeded: ++deadline_exceeded_; break;
+    case wire::Status::kCancelled: ++cancelled_; break;
+    case wire::Status::kInternal: ++failed_; break;
+    default: break;
+  }
+  lat_p50_.add(latency_ms);
+  lat_p99_.add(latency_ms);
+  const auto c = static_cast<std::size_t>(cls);
+  if (status == wire::Status::kOk) ++class_served_[c];
+  class_p99_[c].add(latency_ms);
+  if (--depth_ == 0) idle_cv_.notify_all();
 }
 
-void QueryService::run_admitted(const std::shared_ptr<Admitted>& a,
-                                bool count_class) {
-  const std::optional<qos::Class> cls =
-      count_class ? std::optional<qos::Class>(a->cls) : std::nullopt;
+void QueryService::run_admitted(const std::shared_ptr<Admitted>& a) {
   wire::Response resp;
   resp.method = a->request.method;
   if (a->cancel != nullptr && a->cancel->load(std::memory_order_relaxed)) {
     // The peer is gone; its queued work is void, not executed.
     resp.status = wire::Status::kCancelled;
     resp.message = "client disconnected while queued";
-    finish(a->admitted_us, cls, std::move(resp), a->done);
+    finish(a->admitted_us, a->cls, std::move(resp), a->done);
     return;
   }
   if (a->deadline_us != 0 && clock_.now_us() > a->deadline_us) {
@@ -592,7 +587,7 @@ void QueryService::run_admitted(const std::shared_ptr<Admitted>& a,
     // requests that can still make their deadlines.
     resp.status = wire::Status::kDeadlineExceeded;
     resp.message = "deadline expired before execution";
-    finish(a->admitted_us, cls, std::move(resp), a->done);
+    finish(a->admitted_us, a->cls, std::move(resp), a->done);
     return;
   }
   try {
@@ -626,72 +621,17 @@ void QueryService::run_admitted(const std::shared_ptr<Admitted>& a,
     resp.status = wire::Status::kInternal;
     resp.message = e.what();
   }
-  finish(a->admitted_us, cls, std::move(resp), a->done);
+  finish(a->admitted_us, a->cls, std::move(resp), a->done);
 }
 
 void QueryService::submit(wire::Request request, CancelToken cancel,
                           Emit emit, Done done, ChunkWriter* stream) {
-  if (qos_sched_ != nullptr) {
-    submit_qos(std::move(request), std::move(cancel), std::move(emit),
-               std::move(done), stream);
-    return;
-  }
-  SubscribeSource subscribe;
-  {
-    std::lock_guard lk(mu_);
-    if (draining_) {
-      wire::Response resp;
-      resp.method = request.method;
-      resp.status = wire::Status::kUnavailable;
-      resp.message = "server is draining";
-      done(std::move(resp));
-      return;
-    }
-    if (depth_ >= options_.queue_limit) {
-      // The explicit shed: the client learns immediately instead of
-      // waiting on a queue the server cannot work off in time.
-      ++shed_;
-      wire::Response resp;
-      resp.method = request.method;
-      resp.status = wire::Status::kResourceExhausted;
-      resp.message = "admission queue full (" +
-                     std::to_string(options_.queue_limit) + ")";
-      done(std::move(resp));
-      return;
-    }
-    ++depth_;
-    ++accepted_;
-    subscribe = subscribe_;
-  }
-
-  const std::int64_t admitted_us = clock_.now_us();
-  const std::uint32_t deadline_ms = request.deadline_ms != 0
-                                        ? request.deadline_ms
-                                        : options_.default_deadline_ms;
-
-  auto a = std::make_shared<Admitted>();
-  a->request = std::move(request);
-  a->cancel = std::move(cancel);
-  a->emit = std::move(emit);
-  a->done = std::move(done);
-  a->stream = stream;
-  a->subscribe = std::move(subscribe);
-  a->admitted_us = admitted_us;
-  a->deadline_us =
-      deadline_ms != 0
-          ? admitted_us + static_cast<std::int64_t>(deadline_ms) * 1000
-          : 0;
-  pool_.submit([this, a] { run_admitted(a, /*count_class=*/false); });
-}
-
-void QueryService::submit_qos(wire::Request request, CancelToken cancel,
-                              Emit emit, Done done, ChunkWriter* stream) {
   // Everything the worker needs travels in one shared Admitted record:
   // the run and shed closures alias it instead of copying the request.
   const bool qos_tagged = request.qos_class != 1 || request.tenant != 0;
   const qos::Class cls = qos::class_from_wire(request.qos_class);
   const std::uint32_t tenant = request.tenant;
-  const std::uint64_t cost_us = qos_cost_->price(request);
+  const std::uint64_t cost_us = qos_cost_.price(request);
 
   const std::int64_t admitted_us = clock_.now_us();
   const std::uint32_t deadline_ms = request.deadline_ms != 0
@@ -721,16 +661,9 @@ void QueryService::submit_qos(wire::Request request, CancelToken cancel,
       std::lock_guard lk(mu_);
       a->subscribe = subscribe_;
     }
-    run_admitted(a, /*count_class=*/true);
+    run_admitted(a);
   };
   item.shed = [this, a] {
-    {
-      std::lock_guard lk(mu_);
-      --depth_;
-      ++shed_;
-      ++class_shed_[static_cast<std::size_t>(a->cls)];
-      if (depth_ == 0) idle_cv_.notify_all();
-    }
     wire::Response resp;
     resp.method = a->request.method;
     resp.status = wire::Status::kResourceExhausted;
@@ -741,6 +674,10 @@ void QueryService::submit_qos(wire::Request request, CancelToken cancel,
     // request.
     if (a->qos_tagged) resp.shed_cost_hint_us = a->cost_us;
     a->done(std::move(resp));
+    std::lock_guard lk(mu_);  // settled after `done`, as in finish()
+    ++shed_;
+    ++class_shed_[static_cast<std::size_t>(a->cls)];
+    if (--depth_ == 0) idle_cv_.notify_all();
   };
 
   {
@@ -758,7 +695,7 @@ void QueryService::submit_qos(wire::Request request, CancelToken cancel,
     ++depth_;
     ++accepted_;
   }
-  qos::PushResult r = qos_sched_->push(std::move(item), clock_.now_us());
+  qos::PushResult r = qos_sched_.push(std::move(item), clock_.now_us());
   if (!r.admitted) {
     // The incoming request itself was refused: undo its admission (the
     // shed callback below settles depth_ and the shed counters).
@@ -769,16 +706,12 @@ void QueryService::submit_qos(wire::Request request, CancelToken cancel,
     // Invoked outside every lock — the shed closure takes mu_ itself.
     r.evicted->shed();
   }
-  if (r.admitted) qos_pool_->notify();
+  if (r.admitted) qos_pool_.notify();
 }
 
 void QueryService::submit_internal(qos::Class cls, std::uint64_t cost_us,
                                    std::function<void()> work,
                                    std::function<void()> dropped) {
-  if (qos_sched_ == nullptr) {
-    pool_.submit(std::move(work));
-    return;
-  }
   {
     std::unique_lock lk(mu_);
     if (draining_) {
@@ -808,12 +741,12 @@ void QueryService::submit_internal(qos::Class cls, std::uint64_t cost_us,
   // Shed under pressure: the work simply does not run this round — the
   // caller's cadence retries once `dropped` releases its latch.
   item.shed = [settle, dropped = std::move(dropped)] {
-    settle();
     if (dropped) dropped();
+    settle();
   };
-  qos::PushResult r = qos_sched_->push(std::move(item), clock_.now_us());
+  qos::PushResult r = qos_sched_.push(std::move(item), clock_.now_us());
   if (r.evicted) r.evicted->shed();
-  if (r.admitted) qos_pool_->notify();
+  if (r.admitted) qos_pool_.notify();
 }
 
 ServiceMetrics QueryService::metrics() const {
@@ -821,12 +754,8 @@ ServiceMetrics QueryService::metrics() const {
   // Pool and scheduler snapshots are taken outside mu_ — each has its
   // own lock, and the ordering here (no lock held while asking) keeps
   // the three lock domains acyclic.
-  if (qos_pool_ != nullptr) {
-    m.qos = true;
-    m.qos_workers = qos_pool_->workers();
-    m.qos_backlog_cost_us =
-        qos_sched_->snapshot(clock_.now_us()).backlog_cost_us;
-  }
+  m.qos_workers = qos_pool_.workers();
+  m.qos_backlog_cost_us = qos_sched_.snapshot(clock_.now_us()).backlog_cost_us;
   std::lock_guard lk(mu_);
   m.accepted = accepted_;
   m.served = served_;
@@ -846,10 +775,15 @@ ServiceMetrics QueryService::metrics() const {
   return m;
 }
 
-void QueryService::drain() {
+bool QueryService::drain(int timeout_ms) {
   std::unique_lock lk(mu_);
   draining_ = true;
-  idle_cv_.wait(lk, [this] { return depth_ == 0; });
+  const auto idle = [this] { return depth_ == 0; };
+  if (timeout_ms < 0) {
+    idle_cv_.wait(lk, idle);
+    return true;
+  }
+  return idle_cv_.wait_for(lk, std::chrono::milliseconds(timeout_ms), idle);
 }
 
 }  // namespace exawatt::server

@@ -30,15 +30,16 @@ using CancelToken = std::shared_ptr<std::atomic<bool>>;
   return std::make_shared<std::atomic<bool>>(false);
 }
 
-/// Enables the multi-tenant QoS path: cost-model admission, per-class
-/// per-tenant fair scheduling and an autoscaled worker pool replace the
-/// single FIFO on the shared thread pool.
+/// Tuning of the service's admission path: cost-model pricing,
+/// per-class per-tenant fair scheduling and the service's own autoscaled
+/// worker pool. One class, one tenant and min_workers == max_workers
+/// make it a plain bounded FIFO on fixed workers.
 struct QosOptions {
   /// Unit costs behind admission pricing; calibrate with
   /// qos::CostProfile::from_bench_json when a BENCH_codec.json exists.
   qos::CostProfile cost;
   /// max_queue is overridden with ServiceOptions::queue_limit so the
-  /// service keeps one admission knob in both modes.
+  /// service keeps one admission knob.
   qos::SchedulerOptions scheduler;
   qos::WorkerPoolOptions pool;
   /// Block counter behind the cost model. Defaulted to the service's
@@ -49,25 +50,22 @@ struct QosOptions {
 };
 
 struct ServiceOptions {
-  /// Bounded admission queue: requests beyond this many queued-or-running
-  /// are shed with an explicit RESOURCE_EXHAUSTED response — the
-  /// overloaded server stays predictable instead of building an unbounded
-  /// backlog of work it will finish after every deadline has passed.
-  /// (In QoS mode the bound applies to the scheduler's queued set and
-  /// shedding is cost-based: the worst (class, cost, age) item goes, not
-  /// the newest arrival.)
+  /// Bound on the scheduler's queued set (running work does not count):
+  /// an arrival that would exceed it sheds the worst queued item by
+  /// (class, cost, age) — the arrival itself when it is the worst — with
+  /// an explicit RESOURCE_EXHAUSTED response. The overloaded server stays
+  /// predictable instead of building an unbounded backlog of work it
+  /// will finish after every deadline has passed.
   std::size_t queue_limit = 256;
-  /// Executor; nullptr selects the process-global pool. Unused by the
-  /// QoS path, which runs its own autoscaled workers.
+  /// Read by no code: every service runs its own QoS workers. Kept only
+  /// so embedders that still assign it compile.
   util::ThreadPool* pool = nullptr;
   /// Deadline/latency clock; nullptr selects the steady wall clock.
   /// Tests install a util::ManualClock to make expiry deterministic.
   util::Clock* clock = nullptr;
   /// Applied when a request carries no deadline; 0 = unbounded.
   std::uint32_t default_deadline_ms = 0;
-  /// Engaged = QoS mode. Disengaged (the default) keeps the classic
-  /// bounded FIFO byte-for-byte, so existing embedders and class-less
-  /// clients see identical behavior.
+  /// Admission tuning; disengaged means QosOptions{}.
   std::optional<QosOptions> qos = std::nullopt;
 };
 
@@ -99,11 +97,9 @@ struct ServiceMetrics {
   std::uint64_t deadline_exceeded = 0;  ///< expired before/while executing
   std::uint64_t cancelled = 0;          ///< peer vanished first
   std::uint64_t failed = 0;             ///< execution threw (kInternal)
-  std::uint64_t queue_depth = 0;        ///< queued or running right now
+  std::uint64_t queue_depth = 0;        ///< queued, running or in `done`
   double p50_ms = 0.0;                  ///< admission->completion latency
   double p99_ms = 0.0;
-  /// QoS-mode extras; all zero on a classic-FIFO service.
-  bool qos = false;
   std::uint64_t qos_workers = 0;          ///< live worker threads
   std::uint64_t qos_backlog_cost_us = 0;  ///< estimated queued cost
   std::array<std::uint64_t, qos::kClassCount> class_served{};
@@ -111,14 +107,17 @@ struct ServiceMetrics {
   std::array<double, qos::kClassCount> class_p99_ms{};
 };
 
-/// The RPC service over one Store: stateless query execution behind a
-/// deadline-aware bounded admission queue on the shared thread pool.
+/// The RPC service over one Store: stateless query execution behind
+/// cost-priced, class- and tenant-fair admission with deadlines, run by
+/// the service's own autoscaled workers.
 ///
 /// Threading contract: `submit` may be called from any thread (the
 /// server calls it from the event-loop thread). The `done` callback is
-/// invoked exactly once — inline for shed/drain rejections, on a pool
-/// thread otherwise. `emit` (subscription ticks) fires zero or more
-/// times strictly before `done`, always on the pool thread.
+/// invoked exactly once — inline on the submitting thread for drain
+/// rejections and for sheds at admission (the arrival itself, or the
+/// queued item it displaced), on a worker thread otherwise. `emit`
+/// (subscription ticks) fires zero or more times strictly before `done`,
+/// always on the worker thread.
 class QueryService {
  public:
   using Emit = std::function<void(const wire::Tick&)>;
@@ -126,7 +125,7 @@ class QueryService {
 
   /// Subscription executor installed by the endpoint (the serve command
   /// wires a store replay here). Must honor `cancel` between ticks and
-  /// return when it fires; runs entirely on a pool thread.
+  /// return when it fires; runs entirely on a worker thread.
   using SubscribeSource = std::function<void(
       const wire::Request&, const CancelToken&, const Emit&)>;
 
@@ -156,7 +155,7 @@ class QueryService {
   using StatsAugment = std::function<void(wire::ServerStatsWire&)>;
 
   /// Store-backed service: executor = `make_store_executor(store, ...)`.
-  /// In QoS mode the cost model's block counter defaults to this store.
+  /// The cost model's block counter defaults to this store.
   QueryService(const store::Store& store, ServiceOptions options = {});
   /// Custom-executor service (the cluster coordinator front-end).
   QueryService(Executor executor, ServiceOptions options = {});
@@ -178,50 +177,38 @@ class QueryService {
   }
 
   /// Graceful shutdown: stop admitting (new requests get kUnavailable)
-  /// and block until every queued/running request has completed.
-  void drain();
+  /// and block until every queued/running request has completed and its
+  /// `done` callback has returned. `timeout_ms` >= 0 bounds the wait;
+  /// true once idle, false if the time ran out first (admission stays
+  /// closed either way).
+  bool drain(int timeout_ms = -1);
 
   /// Enqueue endpoint-internal work (background compaction) as a QoS
   /// citizen of `cls`: it waits its class turn, can be shed under
   /// pressure (it simply does not run — the caller's cadence retries),
-  /// and drain() waits for it. Falls back to the plain pool when QoS is
-  /// off. `cost_us` is the caller's estimate for backlog accounting and
-  /// shed ordering. `dropped` (optional) fires instead of `work` when
-  /// the item is shed or refused at admission (draining included), so
-  /// callers can release an in-flight latch.
+  /// and drain() waits for it. `cost_us` is the caller's estimate for
+  /// backlog accounting and shed ordering. `dropped` (optional) fires
+  /// instead of `work` when the item is shed or refused at admission
+  /// (draining included), so callers can release an in-flight latch.
   void submit_internal(qos::Class cls, std::uint64_t cost_us,
                        std::function<void()> work,
                        std::function<void()> dropped = nullptr);
 
-  /// True when this service runs the QoS scheduler (vs the classic FIFO).
-  [[nodiscard]] bool qos_enabled() const { return qos_sched_ != nullptr; }
-
-  /// Execute one request body against the store, bypassing admission —
-  /// the single code path the admitted worker and the in-process tests
-  /// share, so over-the-wire results are the store's results by
-  /// construction.
-  [[nodiscard]] wire::Response execute(const wire::Request& request) const {
-    return execute(request, nullptr, 0, nullptr, nullptr);
-  }
-
-  /// Same, with cooperative interruption: long-running bodies (the PUE
-  /// roll-up replay walks its range second by second) poll `cancel` and
-  /// `deadline_us` (absolute clock microseconds, 0 = none) and abandon
-  /// the work with kCancelled / kDeadlineExceeded instead of occupying a
-  /// pool thread past the point anyone wants the answer.
+  /// Execute one request body, bypassing admission — the single code
+  /// path the admitted worker and the in-process tests share, so
+  /// over-the-wire results are the store's results by construction.
+  /// Long-running bodies (the PUE roll-up replay walks its range second
+  /// by second) poll `cancel` and `deadline_us` (absolute clock
+  /// microseconds, 0 = none) and abandon the work with kCancelled /
+  /// kDeadlineExceeded instead of occupying a worker past the point
+  /// anyone wants the answer. `emit` is the tick channel (sweep
+  /// streaming) and `stream` the chunked response channel; without them
+  /// streaming methods answer without ticks and results materialize in
+  /// the Response.
   [[nodiscard]] wire::Response execute(const wire::Request& request,
-                                       const CancelToken& cancel,
-                                       std::int64_t deadline_us) const {
-    return execute(request, cancel, deadline_us, nullptr, nullptr);
-  }
-
-  /// Full form with the tick channel (sweep streaming) and the chunked
-  /// response channel; both may be null, in which case streaming methods
-  /// answer without ticks and results materialize in the Response.
-  [[nodiscard]] wire::Response execute(const wire::Request& request,
-                                       const CancelToken& cancel,
-                                       std::int64_t deadline_us,
-                                       const Emit& emit,
+                                       const CancelToken& cancel = {},
+                                       std::int64_t deadline_us = 0,
+                                       const Emit& emit = {},
                                        ChunkWriter* stream = nullptr) const;
 
  private:
@@ -241,17 +228,13 @@ class QueryService {
     std::uint64_t cost_us = 0;   ///< admission estimate
   };
 
-  void submit_qos(wire::Request request, CancelToken cancel, Emit emit,
-                  Done done, ChunkWriter* stream);
-  /// The admitted execution body both the FIFO and QoS paths share:
-  /// cancel/deadline gates, subscribe routing, executor call, finish.
-  void run_admitted(const std::shared_ptr<Admitted>& a, bool count_class);
-  void finish(std::int64_t admitted_us, std::optional<qos::Class> cls,
+  /// The admitted execution body: cancel/deadline gates, subscribe
+  /// routing, executor call, finish.
+  void run_admitted(const std::shared_ptr<Admitted>& a);
+  void finish(std::int64_t admitted_us, qos::Class cls,
               wire::Response&& response, const Done& done);
-
   Executor executor_;
-  ServiceOptions options_;
-  util::ThreadPool& pool_;
+  ServiceOptions options_;  ///< qos always engaged (defaults filled in)
   util::Clock& clock_;
   SubscribeSource subscribe_;
   std::vector<StatsAugment> stats_augments_;
@@ -268,16 +251,15 @@ class QueryService {
   std::uint64_t failed_ = 0;
   stream::P2Quantile lat_p50_;
   stream::P2Quantile lat_p99_;
-  /// QoS-mode state (null in classic FIFO mode). Per-class counters are
-  /// guarded by mu_ like the totals above. The pool is declared last so
-  /// it is destroyed (stopping its workers) before the scheduler and
-  /// cost model they pull from.
+  /// Per-class counters are guarded by mu_ like the totals above. The
+  /// pool is declared last so it is destroyed (stopping its workers)
+  /// before the scheduler and cost model they pull from.
   std::array<std::uint64_t, qos::kClassCount> class_served_{};
   std::array<std::uint64_t, qos::kClassCount> class_shed_{};
   std::array<stream::P2Quantile, qos::kClassCount> class_p99_;
-  std::unique_ptr<qos::CostModel> qos_cost_;
-  std::unique_ptr<qos::Scheduler> qos_sched_;
-  std::unique_ptr<qos::WorkerPool> qos_pool_;
+  qos::CostModel qos_cost_;
+  qos::Scheduler qos_sched_;
+  qos::WorkerPool qos_pool_;
 };
 
 /// The canonical store-backed executor: every non-stats method of the

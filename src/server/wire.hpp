@@ -155,7 +155,7 @@ struct ServerStatsWire {
   std::uint64_t stream_chunks = 0;
   std::uint64_t stream_pauses = 0;
   std::uint64_t stream_resumes = 0;
-  /// QoS health (zeros when the endpoint runs the classic FIFO): live
+  /// QoS health (zeros from a peer that predates the extension): live
   /// worker count, estimated queued cost, and per-class counters indexed
   /// by qos::Class (0 interactive / 1 normal / 2 batch). p99 in whole
   /// microseconds — a latency histogram does not need sub-us precision

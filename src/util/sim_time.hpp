@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -81,23 +82,29 @@ class Clock {
 };
 
 /// Test clock: `now_us` advances only through `sleep_us`/`advance_us`,
-/// and every sleep is recorded for assertions.
+/// and every sleep is recorded for assertions. `now_us` and `advance_us`
+/// may race (a service's workers read the clock while a test advances
+/// it); the sleep record is for single-threaded callers.
 class ManualClock final : public Clock {
  public:
   explicit ManualClock(std::int64_t start_us = 0) : now_us_(start_us) {}
 
-  [[nodiscard]] std::int64_t now_us() override { return now_us_; }
+  [[nodiscard]] std::int64_t now_us() override {
+    return now_us_.load(std::memory_order_relaxed);
+  }
   void sleep_us(std::int64_t us) override {
     sleeps_.push_back(us);
     advance_us(us);
   }
-  void advance_us(std::int64_t us) { now_us_ += us; }
+  void advance_us(std::int64_t us) {
+    now_us_.fetch_add(us, std::memory_order_relaxed);
+  }
   [[nodiscard]] const std::vector<std::int64_t>& sleeps() const {
     return sleeps_;
   }
 
  private:
-  std::int64_t now_us_;
+  std::atomic<std::int64_t> now_us_;
   std::vector<std::int64_t> sleeps_;
 };
 

@@ -179,9 +179,11 @@ server::ClientOptions LoopbackServer::client_options() const {
   return options;
 }
 
-server::ServerOptions qos_server_options() {
-  server::ServerOptions options;
-  options.service.qos.emplace();
+server::ServiceOptions fixed_workers(std::size_t workers,
+                                     server::ServiceOptions options) {
+  qos::AutoScalerOptions& scale = options.qos.emplace().pool.autoscaler;
+  scale.min_workers = workers;
+  scale.max_workers = workers;
   return options;
 }
 
@@ -200,7 +202,7 @@ Topology::Topology(Kind kind, const Feed& feed, const std::string& root)
       return;
     case Kind::kLoopback:
       loopback_ = std::make_unique<LoopbackServer>(
-          *ref_, qos_server_options(), server::make_replay_source(*ref_));
+          *ref_, server::ServerOptions{}, server::make_replay_source(*ref_));
       client_ = std::make_unique<server::Client>(loopback_->client_options());
       return;
     case Kind::kCluster:
@@ -234,11 +236,7 @@ Topology::Topology(Kind kind, const Feed& feed, const std::string& root)
   // and this keeps the pruned planning path exercised.
   copts.prune = true;
   coordinator_ = std::make_unique<cluster::Coordinator>(std::move(copts));
-  front_pool_ = std::make_unique<util::ThreadPool>(2);
-  server::ServiceOptions front_options;
-  front_options.pool = front_pool_.get();
-  front_ = std::make_unique<server::QueryService>(coordinator_->executor(),
-                                                  front_options);
+  front_ = std::make_unique<server::QueryService>(coordinator_->executor());
   front_->set_stats_augment(
       [c = coordinator_.get()](server::wire::ServerStatsWire& s) {
         c->augment_stats(s);
@@ -259,8 +257,7 @@ server::ClientOptions Topology::client_options() const {
 void Topology::stop_shard(std::size_t i) { shard_servers_[i].reset(); }
 
 void Topology::restart_shard(std::size_t i) {
-  shard_servers_[i] =
-      std::make_unique<LoopbackServer>(*shards_[i], qos_server_options());
+  shard_servers_[i] = std::make_unique<LoopbackServer>(*shards_[i]);
   coordinator_->set_endpoint(i,
                              {"127.0.0.1", shard_servers_[i]->server().port()});
 }
@@ -275,8 +272,7 @@ void Topology::cycle_shards(const std::function<void()>& while_down) {
     shards_.emplace_back(store::Store::open(root, store_options()));
   }
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shard_servers_.push_back(
-        std::make_unique<LoopbackServer>(*shards_[i], qos_server_options()));
+    shard_servers_.push_back(std::make_unique<LoopbackServer>(*shards_[i]));
     if (coordinator_) {
       coordinator_->set_endpoint(
           i, {"127.0.0.1", shard_servers_[i]->server().port()});

@@ -26,7 +26,6 @@
 #include "stream/replay.hpp"
 #include "telemetry/metric.hpp"
 #include "ts/series.hpp"
-#include "util/thread_pool.hpp"
 #include "util/vfs.hpp"
 
 namespace exawatt::e2e {
@@ -106,8 +105,9 @@ void fill_store(const Feed& feed, const std::string& root);
 class LoopbackServer {
  public:
   /// `subscribe` (optional) is installed before the loop starts.
-  LoopbackServer(const store::Store& store, server::ServerOptions options,
-                 server::QueryService::SubscribeSource subscribe = nullptr);
+  explicit LoopbackServer(
+      const store::Store& store, server::ServerOptions options = {},
+      server::QueryService::SubscribeSource subscribe = nullptr);
   /// A front for an externally owned service.
   explicit LoopbackServer(server::QueryService& service);
   ~LoopbackServer() { stop(); }
@@ -125,13 +125,16 @@ class LoopbackServer {
   std::thread loop_;
 };
 
-/// The QoS server options `serve` runs with.
-[[nodiscard]] server::ServerOptions qos_server_options();
+/// `options` with exactly `workers` QoS workers (min == max). With one
+/// class and one tenant this is a bounded FIFO on fixed workers — what
+/// tests that park work on a worker need to make queueing deterministic.
+[[nodiscard]] server::ServiceOptions fixed_workers(
+    std::size_t workers, server::ServiceOptions options = {});
 
 enum class Kind {
   kDirect,    ///< QueryService::execute on the reference store
-  kLoopback,  ///< a QoS server over the reference store
-  kCluster,   ///< 3 QoS shards behind a Coordinator front server
+  kLoopback,  ///< a server over the reference store
+  kCluster,   ///< 3 shard servers behind a Coordinator front server
 };
 
 [[nodiscard]] const char* kind_name(Kind kind);
@@ -185,7 +188,6 @@ class Topology {
   std::vector<std::optional<store::Store>> shards_;
   std::vector<std::unique_ptr<LoopbackServer>> shard_servers_;
   std::unique_ptr<cluster::Coordinator> coordinator_;
-  std::unique_ptr<util::ThreadPool> front_pool_;
   std::unique_ptr<server::QueryService> front_;
   std::unique_ptr<LoopbackServer> front_server_;
   std::unique_ptr<server::Client> client_;

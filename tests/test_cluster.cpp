@@ -638,7 +638,7 @@ server::QueryService::Executor pre_node_means(const store::Store& store) {
   };
 }
 
-/// Loopback QoS servers over `stores` (as `serve` runs them) and a
+/// Loopback servers over `stores` (as `serve` runs them) and a
 /// coordinator fronting them. The shards listed in `old` serve through
 /// `pre_node_means`.
 class ServedShards {
@@ -649,12 +649,11 @@ class ServedShards {
     for (std::size_t i = 0; i < stores.size(); ++i) {
       if (std::find(old.begin(), old.end(), i) != old.end()) {
         services_.push_back(std::make_unique<server::QueryService>(
-            pre_node_means(*stores[i]), e2e::qos_server_options().service));
+            pre_node_means(*stores[i])));
         servers_.push_back(
             std::make_unique<e2e::LoopbackServer>(*services_.back()));
       } else {
-        servers_.push_back(std::make_unique<e2e::LoopbackServer>(
-            *stores[i], e2e::qos_server_options()));
+        servers_.push_back(std::make_unique<e2e::LoopbackServer>(*stores[i]));
       }
       options.shards.push_back(
           {"127.0.0.1", servers_.back()->server().port()});

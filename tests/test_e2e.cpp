@@ -279,7 +279,7 @@ TEST(Serve, LostSegmentIsReportedOverTheWire) {
   options.vfs = &buffered;
   const store::Store store = store::Store::open(dir, options);
   util::Vfs::real().remove(dir + "/" + victim);
-  LoopbackServer srv(store, qos_server_options());
+  LoopbackServer srv(store);
   const Request req = feed_request(Method::kScan, f);
   const Response resp = server::Client(srv.client_options()).call(req);
   store::QueryStats direct_stats;
@@ -384,10 +384,8 @@ TEST(Cluster, OutageIsChargedExactlyAndRestartAndRebalanceRestoreParity) {
 class Qos : public testing::Test {
  protected:
   static server::ServerOptions starved() {
-    server::ServerOptions options = qos_server_options();
-    options.service.queue_limit = 4;
-    options.service.qos->pool.autoscaler.min_workers = 1;
-    options.service.qos->pool.autoscaler.max_workers = 1;
+    server::ServerOptions options;
+    options.service = fixed_workers(1, {.queue_limit = 4});
     return options;
   }
 
@@ -425,7 +423,20 @@ TEST_F(Qos, TaggedTenantsRoundTripTheirClassCounters) {
           qos::class_from_wire(req.qos_class))];
     }
   }
-  const Response s = server_stats(server_.client_options());
+  // A worker books a request once its answer is handed to the loop, so
+  // the last call can still be unbooked when the stats call lands.
+  const auto all_booked = [&](const Response& r) {
+    for (std::size_t c = 0; c < qos::kClassCount; ++c) {
+      if (r.server.qos_served[c] < sent_by_class[c]) return false;
+    }
+    return true;
+  };
+  Response s = server_stats(server_.client_options());
+  for (int spins = 0; spins < 500 && s.status == Status::kOk && !all_booked(s);
+       ++spins) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    s = server_stats(server_.client_options());
+  }
   ASSERT_EQ(s.status, Status::kOk);
   for (std::size_t c = 0; c < qos::kClassCount; ++c) {
     EXPECT_GE(s.server.qos_served[c], sent_by_class[c])
@@ -610,13 +621,12 @@ TEST(Scenario, CancelledSweepFreesItsAdmissionSlot) {
   const auto offline = offline_replay(store, f);
   ASSERT_GT(offline.windows, 0u);
 
-  // A classic service on a 1-thread pool pins sweep A on the only worker;
-  // sweep B queues behind it and its client vanishes while A streams.
-  // When the worker reaches B its cancel token has long been tripped, so
-  // B resolves kCancelled and its slot is returned.
-  util::ThreadPool pool(1);
+  // A service with one fixed worker pins sweep A on it; sweep B queues
+  // behind it and its client vanishes while A streams. When the worker
+  // reaches B its cancel token has long been tripped, so B resolves
+  // kCancelled and its slot is returned.
   server::ServerOptions options;
-  options.service.pool = &pool;
+  options.service = fixed_workers(1);
   LoopbackServer srv(store, options);
   const server::ClientOptions copts = srv.client_options();
 

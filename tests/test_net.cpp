@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <future>
 #include <limits>
@@ -574,18 +576,16 @@ store::Store make_store(const std::string& dir) {
 
 struct ServiceFixture {
   store::Store store;
-  util::ThreadPool pool{1};  ///< single worker => deterministic queueing
   util::ManualClock clock;
-  server::QueryService service;
+  server::QueryService service;  ///< one fixed worker: deterministic queueing
 
   ServiceFixture(std::size_t queue_limit, const char* leaf)
       : store(make_store(store_dir(leaf))),
-        service(store, {.queue_limit = queue_limit,
-                        .pool = &pool,
-                        .clock = &clock}) {}
+        service(store, e2e::fixed_workers(1, {.queue_limit = queue_limit,
+                                              .clock = &clock})) {}
 
-  /// Occupy the single pool thread until `release` is satisfied.
-  std::future<void> block_pool(std::shared_future<void> release) {
+  /// Occupy the single worker until `release` is satisfied.
+  std::future<void> block_worker(std::shared_future<void> release) {
     auto running = std::make_shared<std::promise<void>>();
     auto started = running->get_future();
     service.set_subscribe_source(
@@ -604,6 +604,17 @@ struct ServiceFixture {
   }
 };
 
+/// Metrics once every admission slot is back. A slot is freed only after
+/// its `done` callback returns, so a caller already holding the response
+/// can briefly still see it taken.
+server::ServiceMetrics settled_metrics(const server::QueryService& service) {
+  for (int spins = 0; spins < 500 && service.metrics().queue_depth != 0;
+       ++spins) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return service.metrics();
+}
+
 server::QueryService::Done capture(std::promise<server::wire::Response>& p) {
   return [&p](server::wire::Response&& resp) { p.set_value(std::move(resp)); };
 }
@@ -611,34 +622,55 @@ server::QueryService::Done capture(std::promise<server::wire::Response>& p) {
 TEST(Admission, FullQueueShedsWithResourceExhausted) {
   ServiceFixture fx(/*queue_limit=*/2, "shed");
   std::promise<void> release;
-  fx.block_pool(release.get_future().share()).wait();
+  fx.block_worker(release.get_future().share()).wait();
 
-  // Depth 1 (the blocker). One more fits...
-  std::promise<server::wire::Response> queued;
-  server::wire::Request req;
-  req.method = server::wire::Method::kPing;
-  fx.service.submit(req, server::make_cancel_token(), {}, capture(queued));
+  // The bound is on queued work; the running blocker does not count.
+  // A window_sum (priced above a ping: it decodes blocks) and a ping
+  // fill the queue...
+  std::promise<server::wire::Response> pricey;
+  server::wire::Request sum;
+  sum.method = server::wire::Method::kWindowSum;
+  sum.metric = 0;
+  sum.range = {0, 120};
+  sum.window = 10;
+  fx.service.submit(sum, server::make_cancel_token(), {}, capture(pricey));
+  std::promise<server::wire::Response> first;
+  server::wire::Request ping;
+  ping.method = server::wire::Method::kPing;
+  fx.service.submit(ping, server::make_cancel_token(), {}, capture(first));
 
-  // ...and the third is shed inline, with an explicit status — never a
-  // silent drop.
-  std::promise<server::wire::Response> shed;
-  fx.service.submit(req, server::make_cancel_token(), {}, capture(shed));
-  auto shed_resp = shed.get_future().get();
+  // ...so a second ping sheds the worst queued item — the pricier
+  // window_sum, not the newest arrival — inline, with an explicit status:
+  // never a silent drop.
+  std::promise<server::wire::Response> second;
+  fx.service.submit(ping, server::make_cancel_token(), {}, capture(second));
+  auto shed_resp = pricey.get_future().get();
   EXPECT_EQ(shed_resp.status, server::wire::Status::kResourceExhausted);
-  EXPECT_NE(shed_resp.message.find("queue full"), std::string::npos);
+  EXPECT_NE(shed_resp.message.find("request shed"), std::string::npos);
   EXPECT_EQ(fx.service.metrics().shed, 1u);
 
+  // Among equals the youngest goes: a third ping is refused itself.
+  std::promise<server::wire::Response> third;
+  fx.service.submit(ping, server::make_cancel_token(), {}, capture(third));
+  EXPECT_EQ(third.get_future().get().status,
+            server::wire::Status::kResourceExhausted);
+  EXPECT_EQ(fx.service.metrics().shed, 2u);
+
   release.set_value();
-  EXPECT_EQ(queued.get_future().get().status, server::wire::Status::kOk);
-  const auto m = fx.service.metrics();
-  EXPECT_EQ(m.accepted, 2u);  // blocker + queued ping; shed not admitted
+  EXPECT_EQ(first.get_future().get().status, server::wire::Status::kOk);
+  EXPECT_EQ(second.get_future().get().status, server::wire::Status::kOk);
+  const auto m = settled_metrics(fx.service);
+  // Blocker, window_sum and both queued pings were admitted; the refused
+  // third ping never was.
+  EXPECT_EQ(m.accepted, 4u);
+  EXPECT_EQ(m.served, 3u);
   EXPECT_EQ(m.queue_depth, 0u);
 }
 
 TEST(Admission, ExpiredDeadlineIsNeverExecuted) {
   ServiceFixture fx(8, "deadline");
   std::promise<void> release;
-  fx.block_pool(release.get_future().share()).wait();
+  fx.block_worker(release.get_future().share()).wait();
 
   std::promise<server::wire::Response> late;
   server::wire::Request req;
@@ -657,7 +689,7 @@ TEST(Admission, ExpiredDeadlineIsNeverExecuted) {
   EXPECT_EQ(resp.status, server::wire::Status::kDeadlineExceeded);
   EXPECT_NE(resp.message.find("before execution"), std::string::npos);
   EXPECT_TRUE(resp.window_sum.sum.empty()) << "expired work was executed";
-  EXPECT_EQ(fx.service.metrics().deadline_exceeded, 1u);
+  EXPECT_EQ(settled_metrics(fx.service).deadline_exceeded, 1u);
 }
 
 TEST(Admission, MetDeadlineExecutesNormally) {
@@ -678,7 +710,7 @@ TEST(Admission, MetDeadlineExecutesNormally) {
 TEST(Admission, DisconnectCancelsQueuedWork) {
   ServiceFixture fx(8, "cancel");
   std::promise<void> release;
-  fx.block_pool(release.get_future().share()).wait();
+  fx.block_worker(release.get_future().share()).wait();
 
   auto token = server::make_cancel_token();
   std::promise<server::wire::Response> doomed;
@@ -690,7 +722,7 @@ TEST(Admission, DisconnectCancelsQueuedWork) {
   release.set_value();
   const auto resp = doomed.get_future().get();
   EXPECT_EQ(resp.status, server::wire::Status::kCancelled);
-  EXPECT_EQ(fx.service.metrics().cancelled, 1u);
+  EXPECT_EQ(settled_metrics(fx.service).cancelled, 1u);
 }
 
 TEST(Admission, DrainRejectsNewWorkAndWaitsForOld) {
@@ -803,7 +835,7 @@ TEST(Execute, PueRollupClampsHostileRangeToStoreBounds) {
   req.method = server::wire::Method::kPueRollup;
   req.nodes = {0};
   // A 2^60-second replay at one iteration per simulated second would
-  // occupy a pool thread for eons; clamped to the data it is 120 steps.
+  // occupy a worker for eons; clamped to the data it is 120 steps.
   req.range = {0, static_cast<util::TimeSec>(1) << 60};
   req.window = 10;
   const auto resp = fx.service.execute(req);
@@ -1370,10 +1402,10 @@ TEST(Backpressure, CancelWhileParkedFreesTheAdmissionSlot) {
   // Full service-level conservation: a streaming scan paused on a gate
   // its peer never drains is cancelled, the executor aborts the stream,
   // and the admission slot comes back — queue depth to zero, the request
-  // accounted as cancelled, never a ghost occupying the pool.
+  // accounted as cancelled, never a ghost occupying the worker.
   store::Store store = make_store(store_dir("cancel_slot"));
-  util::ThreadPool pool{1};
-  server::QueryService service(store, {.queue_limit = 4, .pool = &pool});
+  server::QueryService service(store,
+                               e2e::fixed_workers(1, {.queue_limit = 4}));
 
   StubSink sink(/*budget=*/600);
   auto token = server::make_cancel_token();
@@ -1401,11 +1433,165 @@ TEST(Backpressure, CancelWhileParkedFreesTheAdmissionSlot) {
             std::future_status::ready);
   const auto resp = fut.get();
   EXPECT_EQ(resp.status, server::wire::Status::kCancelled);
-  const auto m = service.metrics();
+  const auto m = settled_metrics(service);
   EXPECT_EQ(m.queue_depth, 0u);  // the slot is free again
   EXPECT_EQ(m.cancelled, 1u);
   EXPECT_EQ(m.accepted, m.served + m.shed + m.deadline_exceeded +
                             m.cancelled + m.failed + m.queue_depth);
+}
+
+/// Drain with a `done` parked on a peer that never reads. The executor
+/// ignores the stream, as the cluster coordinator's does, and answers
+/// far more than the stream budget; the server chunks that answer in
+/// `done` on a worker, which parks on the connection's gate once the
+/// socket buffers fill. `stop_loop` picks the shutdown shape: shutdown()
+/// then drain() (the test rigs), or run(until) returning then drain()
+/// (`exawatt_sim serve` on a signal).
+void drain_with_parked_done(bool stop_loop) {
+  server::QueryService service(
+      [](const server::wire::Request& req, const server::CancelToken&,
+         std::int64_t, const server::QueryService::Emit&,
+         server::ChunkWriter*) {
+        server::wire::Response resp;
+        resp.method = req.method;
+        resp.counts.assign(std::size_t{2} << 20, 1.0);  // 16 MiB encoded
+        return resp;
+      });
+  server::ServerOptions options;
+  options.loop.stream_budget_bytes = std::size_t{64} << 10;
+  server::Server server(service, options);
+  std::atomic<bool> until{false};
+  std::thread loop([&] {
+    if (stop_loop) {
+      server.run();
+    } else {
+      server.run([&] { return until.load(); }, 20);
+    }
+  });
+
+  auto peer = net::TcpStream::connect("127.0.0.1", server.port(), 2000);
+  server::wire::Request req;
+  req.method = server::wire::Method::kClusterSum;
+  req.chunk_bytes = std::uint32_t{64} << 10;
+  const auto frame = net::encode_frame(net::FrameType::kRequest, 1,
+                                       server::wire::encode_request(req));
+  peer.write_all(frame.data(), frame.size(), 2000);
+  for (int spins = 0; spins < 1000 && server.loop_stats().stream_pauses == 0;
+       ++spins) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GE(server.loop_stats().stream_pauses, 1u);
+  EXPECT_EQ(service.metrics().queue_depth, 1u);
+
+  auto drained = std::async(std::launch::async, [&] {
+    if (stop_loop) {
+      server.shutdown();
+    } else {
+      until.store(true);
+    }
+    loop.join();
+    server.drain(/*max_flush_ms=*/200);
+  });
+  if (drained.wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    // The parked worker can never be joined, so neither can the
+    // service's pool at teardown. Report and leave.
+    ADD_FAILURE() << "drain() did not return with a peer that stopped "
+                     "reading";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  const auto m = service.metrics();
+  EXPECT_EQ(m.queue_depth, 0u);
+  EXPECT_EQ(m.accepted, 1u);
+  EXPECT_EQ(m.accepted, m.served + m.shed + m.deadline_exceeded +
+                            m.cancelled + m.failed + m.queue_depth);
+}
+
+TEST(Drain, StoppedLoopGivesUpAPeerThatStoppedReading) {
+  drain_with_parked_done(/*stop_loop=*/true);
+}
+
+TEST(Drain, ReturnedLoopGivesUpAPeerThatStoppedReading) {
+  drain_with_parked_done(/*stop_loop=*/false);
+}
+
+// --- roll-ups on a default server ----------------------------------------
+
+TEST(Rollups, ConcurrentClusterSumsOnADefaultServerAllComplete) {
+  // store::cluster_sum fans its per-node scans out on the process-global
+  // pool. A service whose request workers are that pool's own threads
+  // deadlocks once it runs as many roll-ups as the pool has threads:
+  // every worker waits on sub-tasks queued behind itself. A default
+  // server runs its own workers, so every call must complete.
+  const std::string dir = store_dir("rollup_clients");
+  fs::remove_all(dir);
+  store::Store store = store::Store::open(dir);
+  server::wire::Request req;
+  req.method = server::wire::Method::kClusterSum;
+  req.channel = e2e::kPowerChannel;
+  req.range = {0, 300};
+  req.window = 10;
+  {
+    std::vector<telemetry::MetricEvent> batch;
+    for (machine::NodeId node = 0; node < 64; ++node) {
+      req.nodes.push_back(node);
+      for (util::TimeSec t = 0; t < req.range.end; ++t) {
+        batch.push_back({telemetry::metric_id(node, e2e::kPowerChannel), t,
+                         static_cast<std::int32_t>(300 + node + t % 11)});
+      }
+    }
+    store.append(batch);
+    store.flush();
+  }
+  std::vector<double> expected_counts;
+  const ts::Series expected =
+      store::cluster_sum(store, req.nodes, req.channel, req.range,
+                         req.window, &expected_counts);
+
+  e2e::LoopbackServer server(store);
+  server::ClientOptions copts = server.client_options();
+  copts.request_timeout_ms = 30'000;  // a wedged server fails, not hangs
+  copts.max_reconnects = 0;
+  const std::size_t clients =
+      std::min<std::size_t>(64, 2 * util::ThreadPool::global().size());
+  constexpr int kCallsPerClient = 4;
+  std::atomic<int> ok{0};
+  std::atomic<int> wrong{0};
+  std::atomic<int> timed_out{0};
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < clients; ++c) {
+    threads.emplace_back([&] {
+      server::Client client(copts);
+      for (int i = 0; i < kCallsPerClient; ++i) {
+        try {
+          const server::wire::Response resp = client.call(req);
+          if (resp.status == server::wire::Status::kOk &&
+              resp.series.start() == expected.start() &&
+              e2e::series_equal(resp.series, expected) &&
+              resp.counts == expected_counts) {
+            ++ok;
+          } else {
+            ++wrong;
+          }
+        } catch (const net::NetError&) {
+          ++timed_out;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  if (timed_out.load() > 0) {
+    // A deadlocked pool can never be joined: neither the server's drain
+    // nor the pool's destructor at exit would return. Report and leave.
+    ADD_FAILURE() << timed_out.load() << " of " << clients
+                  << " clients timed out: the roll-ups deadlocked";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(ok.load(), static_cast<int>(clients) * kCallsPerClient);
 }
 
 // --- chunked loopback ----------------------------------------------------
@@ -1649,28 +1835,22 @@ class WithServerAt : public ::testing::TestWithParam<HerdParam> {
          std::to_string(p.connections))
             .c_str())));
     fds_before_ = open_fd_count();
-    pool_ = std::make_unique<util::ThreadPool>(p.workers);
     service_ = std::make_unique<server::QueryService>(
-        *store_, server::ServiceOptions{.queue_limit = p.connections + 8,
-                                        .pool = pool_.get()});
+        *store_,
+        e2e::fixed_workers(p.workers, {.queue_limit = p.connections + 8}));
     server_ = std::make_unique<e2e::LoopbackServer>(*service_);
   }
 
   void TearDown() override {
     // Admission-slot conservation: whatever the herd did, accepted
     // requests all reached a terminal bucket and the queue is empty.
-    for (int spins = 0; spins < 500; ++spins) {
-      if (service_->metrics().queue_depth == 0) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    const auto m = service_->metrics();
+    const auto m = settled_metrics(*service_);
     EXPECT_EQ(m.queue_depth, 0u);
     EXPECT_EQ(m.accepted,
               m.served + m.shed + m.deadline_exceeded + m.cancelled + m.failed);
 
     server_.reset();
     service_.reset();
-    pool_.reset();
 
     // Leak check: with the loop (epoll fd, wake pipe, listener, every
     // connection) torn down, the process is back to its baseline.
@@ -1688,7 +1868,6 @@ class WithServerAt : public ::testing::TestWithParam<HerdParam> {
   }
 
   std::unique_ptr<store::Store> store_;
-  std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<server::QueryService> service_;
   std::unique_ptr<e2e::LoopbackServer> server_;
   std::size_t fds_before_ = 0;
@@ -1739,8 +1918,13 @@ INSTANTIATE_TEST_SUITE_P(
                       HerdParam{2, 256}, HerdParam{4, 256},
                       HerdParam{4, 1024}),
     [](const ::testing::TestParamInfo<HerdParam>& info) {
-      return "w" + std::to_string(info.param.workers) + "_c" +
-             std::to_string(info.param.connections);
+      // Appended piecewise: g++ 12 -O3 misreads `"w" + std::string&&`
+      // as an overlapping memcpy (-Wrestrict).
+      std::string name = "w";
+      name += std::to_string(info.param.workers);
+      name += "_c";
+      name += std::to_string(info.param.connections);
+      return name;
     });
 
 // --- scan_blocks wire form ------------------------------------------------

@@ -97,7 +97,7 @@ int usage() {
       "                                                   merge + retention"
       " pass\n"
       "  serve    --store DIR --port P [--queue N --deadline MS]\n"
-      "           [--no-qos --min-workers N --max-workers N]\n"
+      "           [--min-workers N --max-workers N]\n"
       "           [--auto-compact --compact-interval S]    TCP query service\n"
       "  cluster  --shards P1,P2,.. --port P [--queue N --deadline MS]\n"
       "                                                   scatter-gather"
@@ -374,8 +374,8 @@ int analyze_endpoint(const std::string& spec) {
   } else {
     std::printf("upstream: none (single-store server)\n");
   }
-  // A classic-FIFO (or pre-QoS) server reports all-zero QoS counters;
-  // printing them would only mislead.
+  // A pre-QoS server reports all-zero QoS counters; printing them would
+  // only mislead.
   std::uint64_t qos_activity = s.qos_workers;
   for (std::size_t c = 0; c < qos::kClassCount; ++c) {
     qos_activity += s.qos_served[c] + s.qos_shed[c];
@@ -591,17 +591,15 @@ void print_service_report(const server::ServiceMetrics& m,
       static_cast<unsigned long long>(m.cancelled),
       static_cast<unsigned long long>(m.failed),
       static_cast<unsigned long long>(m.queue_depth), m.p50_ms, m.p99_ms);
-  if (m.qos) {
-    std::printf("qos: %llu worker(s), backlog %llu us estimated\n",
-                static_cast<unsigned long long>(m.qos_workers),
-                static_cast<unsigned long long>(m.qos_backlog_cost_us));
-    for (std::size_t c = 0; c < qos::kClassCount; ++c) {
-      std::printf("  %-11s %llu served, %llu shed, p99 %.2f ms\n",
-                  qos::class_name(static_cast<qos::Class>(c)),
-                  static_cast<unsigned long long>(m.class_served[c]),
-                  static_cast<unsigned long long>(m.class_shed[c]),
-                  m.class_p99_ms[c]);
-    }
+  std::printf("qos: %llu worker(s), backlog %llu us estimated\n",
+              static_cast<unsigned long long>(m.qos_workers),
+              static_cast<unsigned long long>(m.qos_backlog_cost_us));
+  for (std::size_t c = 0; c < qos::kClassCount; ++c) {
+    std::printf("  %-11s %llu served, %llu shed, p99 %.2f ms\n",
+                qos::class_name(static_cast<qos::Class>(c)),
+                static_cast<unsigned long long>(m.class_served[c]),
+                static_cast<unsigned long long>(m.class_shed[c]),
+                m.class_p99_ms[c]);
   }
   std::printf(
       "transport: %llu conns (%llu closed), %llu frames in / %llu out, "
@@ -632,27 +630,23 @@ int cmd_serve(const util::Flags& flags) {
       static_cast<std::size_t>(flags.get_int("queue", 256));
   options.service.default_deadline_ms =
       static_cast<std::uint32_t>(flags.get_int("deadline", 0));
-  const bool qos_on = !flags.has("no-qos");
-  if (qos_on) {
-    server::QosOptions q;
-    // Calibrate unit costs from the codec bench when its JSON is around;
-    // defaults otherwise — pricing only needs to be proportionate.
-    q.cost = qos::CostProfile::from_bench_json(
-        flags.get("bench-codec", "BENCH_codec.json"));
-    q.pool.autoscaler.min_workers =
-        static_cast<std::size_t>(flags.get_int("min-workers", 1));
-    q.pool.autoscaler.max_workers =
-        static_cast<std::size_t>(flags.get_int("max-workers", 0));
-    options.service.qos = std::move(q);
-  }
+  server::QosOptions& q = options.service.qos.emplace();
+  // Calibrate unit costs from the codec bench when its JSON is around;
+  // defaults otherwise — pricing only needs to be proportionate.
+  q.cost = qos::CostProfile::from_bench_json(
+      flags.get("bench-codec", "BENCH_codec.json"));
+  q.pool.autoscaler.min_workers =
+      static_cast<std::size_t>(flags.get_int("min-workers", 1));
+  q.pool.autoscaler.max_workers =
+      static_cast<std::size_t>(flags.get_int("max-workers", 0));
   server::Server server(store, options);
   server.service().set_subscribe_source(server::make_replay_source(store));
 
   util::SignalTrap trap;
-  std::printf("serving on 127.0.0.1:%u (queue %zu, default deadline %u ms, "
-              "qos %s) — Ctrl-C drains\n",
+  std::printf("serving on 127.0.0.1:%u (queue %zu, default deadline %u ms) "
+              "— Ctrl-C drains\n",
               server.port(), options.service.queue_limit,
-              options.service.default_deadline_ms, qos_on ? "on" : "off");
+              options.service.default_deadline_ms);
 
   // --auto-compact: periodic store compaction rides the QoS queue as a
   // batch-class citizen — it waits its class turn behind paying traffic
