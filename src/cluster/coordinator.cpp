@@ -556,16 +556,20 @@ server::QueryService::Executor Coordinator::executor() {
 }
 
 void Coordinator::augment_stats(wire::ServerStatsWire& server) const {
-  server.shards_total = links_.size();
+  std::uint64_t down = 0;
+  std::uint64_t attempted = 0;
+  std::uint64_t succeeded = 0;
   for (const auto& link : links_) {
     std::lock_guard lk(link->mu);
     const server::ClientStats& live = link->client->stats();
-    server.reconnects_attempted +=
-        link->retired.reconnect_attempts + live.reconnect_attempts;
-    server.reconnects_succeeded +=
-        link->retired.reconnect_successes + live.reconnect_successes;
-    if (!link->stats.up) ++server.shards_down;
+    attempted += link->retired.reconnect_attempts + live.reconnect_attempts;
+    succeeded += link->retired.reconnect_successes + live.reconnect_successes;
+    if (!link->stats.up) ++down;
   }
+  server.add("upstream.shards", links_.size());
+  server.add("upstream.shards_down", down);
+  server.add("upstream.reconnects_attempted", attempted);
+  server.add("upstream.reconnects_succeeded", succeeded);
 }
 
 void Coordinator::refresh_directories() {

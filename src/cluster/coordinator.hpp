@@ -110,8 +110,9 @@ class Coordinator {
   /// admission queue, deadline policy and counters a shard server has.
   /// The coordinator must outlive the service.
   [[nodiscard]] server::QueryService::Executor executor();
-  /// Companion for QueryService::set_stats_augment: fills the
-  /// shard/reconnect fields of a kServerStats response.
+  /// Companion for QueryService::set_stats_augment: appends the
+  /// `upstream.*` counters (shards, shards down, reconnects) to a
+  /// kServerStats response.
   void augment_stats(wire::ServerStatsWire& server) const;
 
   /// Re-fetch every shard's directory now (e.g. after ingest/flush).

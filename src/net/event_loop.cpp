@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <utility>
 
 namespace exawatt::net {
 
@@ -145,11 +146,6 @@ void EventLoop::pause_accept() {
     accept_paused_ = true;
   }
   wake_.notify();
-}
-
-std::size_t EventLoop::open_connections() const {
-  std::lock_guard lk(mail_mu_);
-  return live_.size();
 }
 
 bool EventLoop::output_idle() const {
@@ -371,7 +367,7 @@ bool EventLoop::run_once(int timeout_ms) {
   bool paused;
   {
     std::lock_guard lk(mail_mu_);
-    if (stop_requested_) return false;
+    if (std::exchange(stop_requested_, false)) return false;
     paused = accept_paused_;
   }
   if (paused && listener_registered_) {
@@ -419,7 +415,7 @@ bool EventLoop::run_once(int timeout_ms) {
   flush_dirty();
 
   std::lock_guard lk(mail_mu_);
-  return !stop_requested_;
+  return !std::exchange(stop_requested_, false);
 }
 
 void EventLoop::run() {

@@ -133,7 +133,8 @@ class EventLoop {
   EventLoop& operator=(const EventLoop&) = delete;
 
   /// One epoll_wait + dispatch round; `timeout_ms < 0` blocks until
-  /// activity. Returns false once `stop()` has been consumed.
+  /// activity. Returns false once a `stop()` ended the cycle; the stop is
+  /// consumed, so a later run_once (a drain's flush) runs normally.
   bool run_once(int timeout_ms);
   /// run_once until stop().
   void run();
@@ -167,7 +168,6 @@ class EventLoop {
   [[nodiscard]] bool output_idle() const;
 
   [[nodiscard]] std::uint16_t port() const { return listener_.local_port(); }
-  [[nodiscard]] std::size_t open_connections() const;
   [[nodiscard]] LoopStats stats() const;
 
  private:

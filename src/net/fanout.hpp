@@ -24,8 +24,9 @@ struct FanResult {
 ///
 /// Dedicated threads, deliberately not the shared util::ThreadPool: the
 /// tasks block on socket I/O (connect / read with timeouts), and parking
-/// blocked work on the pool would starve — or, when the coordinator
-/// itself executes on that pool, deadlock — the compute it exists for.
+/// blocked work on the pool would starve the store fan-out it exists for
+/// (a coordinator may share its process with shard stores, as the test
+/// rigs and the benchmark's cluster host do).
 /// N is the shard count (single digits), so thread spawn cost is noise
 /// next to a network round trip.
 template <typename Fn>

@@ -67,9 +67,9 @@ struct ScenarioSummary {
 struct SweepOptions {
   /// Concurrent variant replays. <= 1 runs serially on the caller's
   /// thread. Workers are dedicated short-lived threads, NOT the shared
-  /// util::ThreadPool: a sweep is executed *from* a pool task (the
-  /// QueryService executor), and fanning out onto the pool it occupies
-  /// deadlocks a small pool — the same reasoning as net::fan_out.
+  /// util::ThreadPool: that pool runs every request's store fan-out
+  /// (per-node scans), which seconds-long variant replays parked on it
+  /// would queue behind them.
   std::size_t threads = 0;
   /// Polled between replayed seconds of every leg, possibly from several
   /// worker threads at once — must be thread-safe.

@@ -36,6 +36,7 @@ void Client::ensure_connected() {
   decoder_ = {};
   assembler_ = net::ChunkAssembler(options_.max_response_bytes);
   ever_connected_ = true;
+  peer_no_chunks_ = false;  // a restarted peer may be newer: probe again
   ++stats_.connects;
   if (reconnecting) ++stats_.reconnect_successes;
 }

@@ -69,9 +69,10 @@ class Client {
   net::ChunkAssembler assembler_;
   std::uint64_t next_id_ = 1;
   bool ever_connected_ = false;
-  /// Sticky downgrade: the peer rejected the chunk_bytes extension
-  /// ("trailing bytes..." INVALID_ARGUMENT), so it predates chunking —
-  /// every later request is sent plain, no repeated probe round-trips.
+  /// Downgrade for this connection: the peer rejected the extension
+  /// tags ("trailing bytes..." INVALID_ARGUMENT), so it predates them —
+  /// every later request on this stream is sent plain, no repeated probe
+  /// round-trips. Cleared whenever a new stream opens.
   bool peer_no_chunks_ = false;
   ClientStats stats_;
 };

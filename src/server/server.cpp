@@ -44,11 +44,20 @@ void Server::init_loop(const ServerOptions& options) {
   // Chained after whatever augment the service owner installed (a
   // coordinator adds shard health first; both run).
   service_.set_stats_augment([this](wire::ServerStatsWire& s) {
-    s.streams += streams_.load(std::memory_order_relaxed);
-    s.stream_chunks += stream_chunks_.load(std::memory_order_relaxed);
     const net::LoopStats ls = loop_->stats();
-    s.stream_pauses += ls.stream_pauses;
-    s.stream_resumes += ls.stream_resumes;
+    s.add("stream.responses", streams_.load(std::memory_order_relaxed));
+    s.add("stream.chunks", stream_chunks_.load(std::memory_order_relaxed));
+    s.add("stream.pauses", ls.stream_pauses);
+    s.add("stream.resumes", ls.stream_resumes);
+    s.add("stream.peak_buffered_bytes", ls.stream_peak_buffered);
+    s.add("transport.connections", ls.accepted);
+    s.add("transport.closed", ls.closed);
+    s.add("transport.frames_in", ls.frames_in);
+    s.add("transport.frames_out", ls.frames_out);
+    s.add("transport.bytes_in", ls.bytes_in);
+    s.add("transport.bytes_out", ls.bytes_out);
+    s.add("transport.protocol_errors", ls.protocol_errors);
+    s.add("transport.backpressure_closes", ls.backpressure_closes);
   });
 }
 
@@ -185,20 +194,21 @@ void Server::shutdown() { loop_->stop(); }
 void Server::drain(int max_flush_ms) {
   loop_->pause_accept();
   // A chunked `done` may park on its peer's stream gate, which only this
-  // thread's socket writes release, so the loop keeps turning (while it
-  // still runs) as the service finishes its work. Past max_flush_ms a
-  // peer still holding unsent gated bytes is given up: its token trips
-  // and the parked writer returns.
-  const auto give_up = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(max_flush_ms);
-  bool pumping = true;
-  while (!service_.drain(pumping ? 0 : 20)) {
-    if (pumping) pumping = loop_->run_once(20);
-    if (std::chrono::steady_clock::now() >= give_up) cancel_stalled_peers();
+  // thread's socket writes release, so the loop keeps turning as the
+  // service finishes its work (run_once runs a full round even after the
+  // stop that ended run()). Past max_flush_ms a peer still holding
+  // unsent gated bytes is given up: its token trips and the parked
+  // writer returns.
+  using Clock = std::chrono::steady_clock;
+  const auto budget = std::chrono::milliseconds(max_flush_ms);
+  const auto give_up = Clock::now() + budget;
+  while (!service_.drain(0)) {
+    (void)loop_->run_once(20);
+    if (Clock::now() >= give_up) cancel_stalled_peers();
   }
-  for (int waited = 0; waited < max_flush_ms && !loop_->output_idle();
-       waited += 20) {
-    if (!loop_->run_once(20)) break;
+  const auto flushed_by = Clock::now() + budget;
+  while (!loop_->output_idle() && Clock::now() < flushed_by) {
+    (void)loop_->run_once(20);
   }
 }
 

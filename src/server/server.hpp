@@ -21,7 +21,7 @@ struct ServerOptions {
 
 /// The TCP endpoint of the query service: one poll-loop thread (the
 /// caller of run()) owns all socket I/O; request execution fans out on
-/// the service's thread pool; finished responses come back through the
+/// the service's QoS workers; finished responses come back through the
 /// loop's thread-safe mailbox. A client disconnect trips the cancel
 /// token shared by everything that peer still has in flight.
 class Server {
@@ -71,7 +71,7 @@ class Server {
   std::unique_ptr<net::EventLoop> loop_;
 
   /// Chunked-streaming counters, surfaced via the kServerStats augment
-  /// (pause/resume counts come from the loop's stream gates).
+  /// beside the loop's transport and stream-gate counters.
   std::atomic<std::uint64_t> streams_{0};
   std::atomic<std::uint64_t> stream_chunks_{0};
 

@@ -517,30 +517,32 @@ wire::Response QueryService::execute(const wire::Request& request,
     wire::Response resp;
     resp.method = request.method;
     const ServiceMetrics m = metrics();
-    resp.server.accepted = m.accepted;
-    resp.server.served = m.served;
-    resp.server.shed = m.shed;
-    resp.server.deadline_exceeded = m.deadline_exceeded;
-    resp.server.cancelled = m.cancelled;
-    resp.server.failed = m.failed;
-    resp.server.queue_depth = m.queue_depth;
-    resp.server.queue_limit = options_.queue_limit;
-    resp.server.p50_ms = m.p50_ms;
-    resp.server.p99_ms = m.p99_ms;
-    resp.server.qos_workers = m.qos_workers;
-    resp.server.qos_backlog_cost_us = m.qos_backlog_cost_us;
+    wire::ServerStatsWire& s = resp.server;
+    s.add("service.accepted", m.accepted);
+    s.add("service.served", m.served);
+    s.add("service.shed", m.shed);
+    s.add("service.deadline_exceeded", m.deadline_exceeded);
+    s.add("service.cancelled", m.cancelled);
+    s.add("service.failed", m.failed);
+    s.add("service.queue_depth", m.queue_depth);
+    s.add("service.queue_limit", options_.queue_limit);
+    s.add("service.p50_ms", m.p50_ms);
+    s.add("service.p99_ms", m.p99_ms);
+    s.add("qos.workers", m.qos_workers);
+    s.add("qos.backlog_cost_us", m.qos_backlog_cost_us);
     for (std::size_t c = 0; c < qos::kClassCount; ++c) {
-      resp.server.qos_served[c] = m.class_served[c];
-      resp.server.qos_shed[c] = m.class_shed[c];
-      resp.server.qos_p99_us[c] =
-          static_cast<std::uint64_t>(m.class_p99_ms[c] * 1000.0);
+      const std::string cls =
+          std::string("qos.") + qos::class_name(static_cast<qos::Class>(c));
+      s.add(cls + ".served", m.class_served[c]);
+      s.add(cls + ".shed", m.class_shed[c]);
+      s.add(cls + ".p99_ms", m.class_p99_ms[c]);
     }
     std::vector<StatsAugment> augments;
     {
       std::lock_guard lk(mu_);
       augments = stats_augments_;
     }
-    for (const StatsAugment& augment : augments) augment(resp.server);
+    for (const StatsAugment& augment : augments) augment(s);
     return resp;
   }
   return executor_(request, cancel, deadline_us, emit, stream);

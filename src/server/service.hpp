@@ -89,7 +89,7 @@ struct ServiceOptions {
                                        stream::EngineOptions* opts,
                                        wire::Response* resp);
 
-/// Snapshot of the service counters (also serialized as kServerStats).
+/// Snapshot of the service counters (kServerStats carries them by name).
 struct ServiceMetrics {
   std::uint64_t accepted = 0;           ///< admitted into the queue
   std::uint64_t served = 0;             ///< finished with kOk
@@ -148,10 +148,10 @@ class QueryService {
       const wire::Request&, const CancelToken&, std::int64_t, const Emit&,
       ChunkWriter*)>;
 
-  /// Hook appending endpoint-specific fields to a kServerStats response
-  /// (a coordinator fills the shard/reconnect counters, the server its
-  /// streaming counters). Augments chain: each registered hook runs in
-  /// registration order over the same snapshot.
+  /// Hook appending endpoint-specific counters to a kServerStats
+  /// response (a coordinator its upstream-link health, the server its
+  /// stream and transport counters). Augments chain: each registered
+  /// hook runs in registration order over the same list.
   using StatsAugment = std::function<void(wire::ServerStatsWire&)>;
 
   /// Store-backed service: executor = `make_store_executor(store, ...)`.
@@ -172,9 +172,6 @@ class QueryService {
               Done done, ChunkWriter* stream = nullptr);
 
   [[nodiscard]] ServiceMetrics metrics() const;
-  [[nodiscard]] std::size_t queue_limit() const {
-    return options_.queue_limit;
-  }
 
   /// Graceful shutdown: stop admitting (new requests get kUnavailable)
   /// and block until every queued/running request has completed and its

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 
@@ -146,9 +148,8 @@ Method read_method(Reader& r) {
 }
 
 /// ScenarioSpec travels with its cooling override as a count-prefixed
-/// double block (same mixed-version posture as the kServerStats
-/// extension block): a decoder fills the tunables it knows by position
-/// and skips the rest, so adding a CoolingParams field is not a protocol
+/// double block: a decoder fills the tunables it knows by position and
+/// skips the rest, so adding a CoolingParams field is not a protocol
 /// break.
 void write_spec(Writer& w, const scenario::ScenarioSpec& spec) {
   w.str(spec.name);
@@ -257,6 +258,35 @@ const char* method_name(Method m) {
     case Method::kNodeMeans: return "node_means";
   }
   return "unknown";
+}
+
+std::optional<double> ServerStatsWire::get(std::string_view name) const {
+  for (const Counter& c : counters) {
+    if (c.name == name) return c.value;
+  }
+  return std::nullopt;
+}
+
+std::string format_server_stats(const ServerStatsWire& stats) {
+  std::string out;
+  std::string_view group;
+  for (const ServerStatsWire::Counter& c : stats.counters) {
+    const std::string_view name = c.name;
+    const std::size_t dot = name.rfind('.');  // npos + 1 == 0 below
+    const std::string_view g = name.substr(0, dot == name.npos ? 0 : dot);
+    if (out.empty() || g != group) {
+      out.append(out.empty() ? "" : "\n").append(g).append(":");
+      group = g;
+    } else {
+      out += ',';
+    }
+    const bool whole =
+        std::fabs(c.value) < 1e15 && c.value == std::trunc(c.value);
+    char value[32];
+    std::snprintf(value, sizeof(value), whole ? " %.0f" : " %.4g", c.value);
+    out.append(" ").append(name.substr(dot + 1)).append(value);
+  }
+  return out.empty() ? out : out + '\n';
 }
 
 const char* status_name(Status s) {
@@ -495,35 +525,11 @@ std::vector<std::uint8_t> encode_response(const Response& resp) {
       // as separate frames with the same request id.
       break;
     case Method::kServerStats:
-      w.u64(resp.server.accepted);
-      w.u64(resp.server.served);
-      w.u64(resp.server.shed);
-      w.u64(resp.server.deadline_exceeded);
-      w.u64(resp.server.cancelled);
-      w.u64(resp.server.failed);
-      w.u64(resp.server.queue_depth);
-      w.u64(resp.server.queue_limit);
-      w.f64(resp.server.p50_ms);
-      w.f64(resp.server.p99_ms);
-      // Count-prefixed extension block: new u64 counters append here, so
-      // a mixed-version rollout degrades gracefully instead of throwing
-      // transport-looking WireErrors — an old decoder skips fields it
-      // does not know, a new decoder zero-fills fields an old server
-      // never sent.
-      w.u64(19);
-      w.u64(resp.server.reconnects_attempted);
-      w.u64(resp.server.reconnects_succeeded);
-      w.u64(resp.server.shards_total);
-      w.u64(resp.server.shards_down);
-      w.u64(resp.server.streams);
-      w.u64(resp.server.stream_chunks);
-      w.u64(resp.server.stream_pauses);
-      w.u64(resp.server.stream_resumes);
-      w.u64(resp.server.qos_workers);
-      w.u64(resp.server.qos_backlog_cost_us);
-      for (const std::uint64_t v : resp.server.qos_served) w.u64(v);
-      for (const std::uint64_t v : resp.server.qos_shed) w.u64(v);
-      for (const std::uint64_t v : resp.server.qos_p99_us) w.u64(v);
+      w.u64(resp.server.counters.size());
+      for (const ServerStatsWire::Counter& c : resp.server.counters) {
+        w.str(c.name);
+        w.f64(c.value);
+      }
       break;
     case Method::kDirectory:
       w.u64(resp.directory.total_events);
@@ -594,8 +600,8 @@ Response decode_response(std::span<const std::uint8_t> payload) {
     resp.message = r.str();
     if (!r.done()) {
       // Count-prefixed extension (shed cost hint and whatever a newer
-      // server appends after it) — same skip-unknown contract as the
-      // server-stats block.
+      // server appends after it): entries this decoder does not know are
+      // consumed and skipped.
       const std::size_t n_ext = r.count(8);
       for (std::size_t i = 0; i < n_ext; ++i) {
         const std::uint64_t v = r.u64();
@@ -657,46 +663,21 @@ Response decode_response(std::span<const std::uint8_t> payload) {
     case Method::kSubscribe:
       break;
     case Method::kServerStats: {
-      resp.server.accepted = r.u64();
-      resp.server.served = r.u64();
-      resp.server.shed = r.u64();
-      resp.server.deadline_exceeded = r.u64();
-      resp.server.cancelled = r.u64();
-      resp.server.failed = r.u64();
-      resp.server.queue_depth = r.u64();
-      resp.server.queue_limit = r.u64();
-      resp.server.p50_ms = r.f64();
-      resp.server.p99_ms = r.f64();
-      // Extension block (see encoder): absent on pre-cluster servers
-      // (fields stay zero), and counters this decoder does not know yet
-      // are consumed and ignored rather than tripping "trailing bytes".
-      if (!r.done()) {
-        const std::size_t n_ext = r.count(8);
-        for (std::size_t i = 0; i < n_ext; ++i) {
-          const std::uint64_t v = r.u64();
-          switch (i) {
-            case 0: resp.server.reconnects_attempted = v; break;
-            case 1: resp.server.reconnects_succeeded = v; break;
-            case 2: resp.server.shards_total = v; break;
-            case 3: resp.server.shards_down = v; break;
-            case 4: resp.server.streams = v; break;
-            case 5: resp.server.stream_chunks = v; break;
-            case 6: resp.server.stream_pauses = v; break;
-            case 7: resp.server.stream_resumes = v; break;
-            case 8: resp.server.qos_workers = v; break;
-            case 9: resp.server.qos_backlog_cost_us = v; break;
-            case 10: case 11: case 12:
-              resp.server.qos_served[i - 10] = v;
-              break;
-            case 13: case 14: case 15:
-              resp.server.qos_shed[i - 13] = v;
-              break;
-            case 16: case 17: case 18:
-              resp.server.qos_p99_us[i - 16] = v;
-              break;
-            default: break;  // newer peer's counter — skip
-          }
+      // 12 = the fixed bytes of one counter (4-byte name length + value).
+      const std::size_t n = r.count(12);
+      resp.server.counters.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ServerStatsWire::Counter c;
+        c.name = r.str();
+        // Printable names only: they go straight to operators' terminals,
+        // and the zero-heavy bytes of any other layout never pass.
+        if (c.name.empty() ||
+            std::any_of(c.name.begin(), c.name.end(),
+                        [](char ch) { return ch <= ' ' || ch > '~'; })) {
+          throw WireError("server stats: malformed counter name");
         }
+        c.value = r.f64();
+        resp.server.counters.push_back(std::move(c));
       }
       break;
     }

@@ -1,10 +1,11 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "machine/topology.hpp"
@@ -130,42 +131,28 @@ struct Request {
   std::uint32_t tenant = 0;
 };
 
-/// Server-side service counters (kServerStats response payload).
+/// Server-side health counters (kServerStats response payload): one
+/// ordered list of named values, each appended by its producer (service,
+/// Server, coordinator), so adding a metric is one `add` line. Names are
+/// dotted `group.counter` (DESIGN.md §10 lists them); a name the peer did
+/// not send reads as absent.
 struct ServerStatsWire {
-  std::uint64_t accepted = 0;
-  std::uint64_t served = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t deadline_exceeded = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t queue_depth = 0;
-  std::uint64_t queue_limit = 0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  /// Upstream-link health. A plain shard server reports zeros; a cluster
-  /// coordinator front-end fills these from its shard `Client`s so
-  /// coordinator-to-shard flapping is visible to any stats consumer.
-  std::uint64_t reconnects_attempted = 0;
-  std::uint64_t reconnects_succeeded = 0;
-  std::uint64_t shards_total = 0;
-  std::uint64_t shards_down = 0;
-  /// Chunked-streaming health: responses streamed, chunk frames sent,
-  /// and producer pauses/resumes at the per-connection stream gate.
-  std::uint64_t streams = 0;
-  std::uint64_t stream_chunks = 0;
-  std::uint64_t stream_pauses = 0;
-  std::uint64_t stream_resumes = 0;
-  /// QoS health (zeros from a peer that predates the extension): live
-  /// worker count, estimated queued cost, and per-class counters indexed
-  /// by qos::Class (0 interactive / 1 normal / 2 batch). p99 in whole
-  /// microseconds — a latency histogram does not need sub-us precision
-  /// and u64 keeps the extension block uniform.
-  std::uint64_t qos_workers = 0;
-  std::uint64_t qos_backlog_cost_us = 0;
-  std::array<std::uint64_t, 3> qos_served{};
-  std::array<std::uint64_t, 3> qos_shed{};
-  std::array<std::uint64_t, 3> qos_p99_us{};
+  struct Counter {
+    std::string name;
+    double value = 0.0;
+  };
+  std::vector<Counter> counters;
+
+  void add(std::string name, double value) {
+    counters.push_back({std::move(name), value});
+  }
+  /// The value sent under `name`; nullopt when the peer sent none.
+  [[nodiscard]] std::optional<double> get(std::string_view name) const;
 };
+
+/// The counters as text, one line per run of counters sharing a group
+/// (`group: counter value, ...`), in the order they were added.
+[[nodiscard]] std::string format_server_stats(const ServerStatsWire& stats);
 
 /// kDirectory response payload: the store's sealed-segment directory
 /// plus its live totals — everything a coordinator needs to plan a

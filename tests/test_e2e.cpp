@@ -238,8 +238,8 @@ TEST(Serve, ChunkedRepliesAreStreamed) {
   }
   const Response stats = server_stats(topo.client_options());
   ASSERT_EQ(stats.status, Status::kOk);
-  EXPECT_GE(stats.server.streams, 2u);
-  EXPECT_GE(stats.server.stream_chunks, 2u);
+  EXPECT_GE(stats.server.get("stream.responses").value_or(0), 2.0);
+  EXPECT_GE(stats.server.get("stream.chunks").value_or(0), 2.0);
 }
 
 TEST(Serve, SubscriptionTicksEqualTheOfflineReplay) {
@@ -425,9 +425,15 @@ TEST_F(Qos, TaggedTenantsRoundTripTheirClassCounters) {
   }
   // A worker books a request once its answer is handed to the loop, so
   // the last call can still be unbooked when the stats call lands.
+  const auto served = [](const Response& r, std::size_t c) {
+    return r.server
+        .get(std::string("qos.") +
+             qos::class_name(static_cast<qos::Class>(c)) + ".served")
+        .value_or(0);
+  };
   const auto all_booked = [&](const Response& r) {
     for (std::size_t c = 0; c < qos::kClassCount; ++c) {
-      if (r.server.qos_served[c] < sent_by_class[c]) return false;
+      if (served(r, c) < static_cast<double>(sent_by_class[c])) return false;
     }
     return true;
   };
@@ -439,10 +445,10 @@ TEST_F(Qos, TaggedTenantsRoundTripTheirClassCounters) {
   }
   ASSERT_EQ(s.status, Status::kOk);
   for (std::size_t c = 0; c < qos::kClassCount; ++c) {
-    EXPECT_GE(s.server.qos_served[c], sent_by_class[c])
+    EXPECT_GE(served(s, c), static_cast<double>(sent_by_class[c]))
         << qos::class_name(static_cast<qos::Class>(c));
   }
-  EXPECT_GT(s.server.qos_workers, 0u);
+  EXPECT_GT(s.server.get("qos.workers").value_or(0), 0.0);
 }
 
 TEST_F(Qos, OverloadNeverShedsInteractiveWork) {
@@ -496,8 +502,9 @@ TEST_F(Qos, OverloadNeverShedsInteractiveWork) {
 
   const Response s = server_stats(server_.client_options());
   ASSERT_EQ(s.status, Status::kOk);
-  EXPECT_GE(s.server.qos_shed[2], batch_shed.load());
-  EXPECT_EQ(s.server.qos_shed[0], 0u);
+  EXPECT_GE(s.server.get("qos.batch.shed").value_or(0),
+            static_cast<double>(batch_shed.load()));
+  EXPECT_EQ(s.server.get("qos.interactive.shed"), 0.0);
 }
 
 TEST(QosCluster, ScatterLegsInheritTheCallersClass) {
@@ -670,20 +677,26 @@ TEST(Scenario, CancelledSweepFreesItsAdmissionSlot) {
   // accounted for. The stats probe occupies a slot while it snapshots
   // itself, so the conservation law is accepted == finished buckets +
   // whatever is still in flight.
-  server::wire::ServerStatsWire s;
+  const auto count = [](const Response& r, const char* name) {
+    return r.server.get(std::string("service.") + name).value_or(-1);
+  };
+  Response resp;
   bool freed = false;
   for (int attempt = 0; attempt < 100 && !freed; ++attempt) {
-    const Response resp = server_stats(copts);
+    resp = server_stats(copts);
     ASSERT_EQ(resp.status, Status::kOk);
-    s = resp.server;
-    freed = s.queue_depth <= 1 && s.cancelled >= 1 &&
-            s.accepted == s.served + s.shed + s.deadline_exceeded +
-                              s.cancelled + s.failed + s.queue_depth;
+    freed = count(resp, "queue_depth") <= 1 &&
+            count(resp, "cancelled") >= 1 &&
+            count(resp, "accepted") ==
+                count(resp, "served") + count(resp, "shed") +
+                    count(resp, "deadline_exceeded") +
+                    count(resp, "cancelled") + count(resp, "failed") +
+                    count(resp, "queue_depth");
     if (!freed) std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  EXPECT_TRUE(freed) << "slot leaked: depth " << s.queue_depth
-                     << ", cancelled " << s.cancelled << ", accepted "
-                     << s.accepted;
+  EXPECT_TRUE(freed) << "slot leaked: depth " << count(resp, "queue_depth")
+                     << ", cancelled " << count(resp, "cancelled")
+                     << ", accepted " << count(resp, "accepted");
 }
 
 }  // namespace

@@ -333,9 +333,8 @@ std::vector<cluster::Endpoint> parse_endpoints(const std::string& list) {
 }
 
 /// `analyze --endpoint HOST:PORT`: read the kServerStats counters off a
-/// live server — a shard reports its service metrics; a coordinator
-/// front-end additionally reports upstream-link health (reconnects and
-/// down shards) via the stats-augment hook.
+/// live server — a shard reports its service, QoS, stream and transport
+/// counters; a coordinator front-end adds its upstream-link health.
 int analyze_endpoint(const std::string& spec) {
   const cluster::Endpoint ep = parse_endpoint(spec);
   server::ClientOptions copts;
@@ -350,48 +349,8 @@ int analyze_endpoint(const std::string& spec) {
                 ep.port, server::wire::status_name(resp.status));
     return 1;
   }
-  const auto& s = resp.server;
-  std::printf("server %s:%u\n", ep.host.c_str(), ep.port);
-  std::printf(
-      "service: %llu accepted, %llu served, %llu shed, %llu deadline-"
-      "exceeded, %llu cancelled, %llu failed | depth %llu / limit %llu | "
-      "latency p50 %.2f ms p99 %.2f ms\n",
-      static_cast<unsigned long long>(s.accepted),
-      static_cast<unsigned long long>(s.served),
-      static_cast<unsigned long long>(s.shed),
-      static_cast<unsigned long long>(s.deadline_exceeded),
-      static_cast<unsigned long long>(s.cancelled),
-      static_cast<unsigned long long>(s.failed),
-      static_cast<unsigned long long>(s.queue_depth),
-      static_cast<unsigned long long>(s.queue_limit), s.p50_ms, s.p99_ms);
-  if (s.shards_total > 0) {
-    std::printf("upstream: %llu shard(s), %llu down | reconnects %llu "
-                "attempted / %llu succeeded\n",
-                static_cast<unsigned long long>(s.shards_total),
-                static_cast<unsigned long long>(s.shards_down),
-                static_cast<unsigned long long>(s.reconnects_attempted),
-                static_cast<unsigned long long>(s.reconnects_succeeded));
-  } else {
-    std::printf("upstream: none (single-store server)\n");
-  }
-  // A pre-QoS server reports all-zero QoS counters; printing them would
-  // only mislead.
-  std::uint64_t qos_activity = s.qos_workers;
-  for (std::size_t c = 0; c < qos::kClassCount; ++c) {
-    qos_activity += s.qos_served[c] + s.qos_shed[c];
-  }
-  if (qos_activity > 0) {
-    std::printf("qos: %llu worker(s), backlog %llu us estimated\n",
-                static_cast<unsigned long long>(s.qos_workers),
-                static_cast<unsigned long long>(s.qos_backlog_cost_us));
-    for (std::size_t c = 0; c < qos::kClassCount; ++c) {
-      std::printf("  %-11s %llu served, %llu shed, p99 %.2f ms\n",
-                  qos::class_name(static_cast<qos::Class>(c)),
-                  static_cast<unsigned long long>(s.qos_served[c]),
-                  static_cast<unsigned long long>(s.qos_shed[c]),
-                  static_cast<double>(s.qos_p99_us[c]) / 1000.0);
-    }
-  }
+  std::printf("server %s:%u\n%s", ep.host.c_str(), ep.port,
+              server::wire::format_server_stats(resp.server).c_str());
   return 0;
 }
 
@@ -578,41 +537,13 @@ int cmd_compact(const util::Flags& flags) {
   return 0;
 }
 
-void print_service_report(const server::ServiceMetrics& m,
-                          const net::LoopStats& loop) {
-  std::printf(
-      "service: %llu accepted, %llu served, %llu shed, %llu deadline-"
-      "exceeded, %llu cancelled, %llu failed | depth %llu | latency p50 "
-      "%.2f ms p99 %.2f ms\n",
-      static_cast<unsigned long long>(m.accepted),
-      static_cast<unsigned long long>(m.served),
-      static_cast<unsigned long long>(m.shed),
-      static_cast<unsigned long long>(m.deadline_exceeded),
-      static_cast<unsigned long long>(m.cancelled),
-      static_cast<unsigned long long>(m.failed),
-      static_cast<unsigned long long>(m.queue_depth), m.p50_ms, m.p99_ms);
-  std::printf("qos: %llu worker(s), backlog %llu us estimated\n",
-              static_cast<unsigned long long>(m.qos_workers),
-              static_cast<unsigned long long>(m.qos_backlog_cost_us));
-  for (std::size_t c = 0; c < qos::kClassCount; ++c) {
-    std::printf("  %-11s %llu served, %llu shed, p99 %.2f ms\n",
-                qos::class_name(static_cast<qos::Class>(c)),
-                static_cast<unsigned long long>(m.class_served[c]),
-                static_cast<unsigned long long>(m.class_shed[c]),
-                m.class_p99_ms[c]);
-  }
-  std::printf(
-      "transport: %llu conns (%llu closed), %llu frames in / %llu out, "
-      "%llu B in / %llu B out, %llu protocol errors, %llu backpressure "
-      "closes\n",
-      static_cast<unsigned long long>(loop.accepted),
-      static_cast<unsigned long long>(loop.closed),
-      static_cast<unsigned long long>(loop.frames_in),
-      static_cast<unsigned long long>(loop.frames_out),
-      static_cast<unsigned long long>(loop.bytes_in),
-      static_cast<unsigned long long>(loop.bytes_out),
-      static_cast<unsigned long long>(loop.protocol_errors),
-      static_cast<unsigned long long>(loop.backpressure_closes));
+/// The endpoint's final counters, as `analyze --endpoint` would read
+/// them: the service answers its own kServerStats in-process.
+void print_service_report(const server::QueryService& service) {
+  server::wire::Request req;
+  req.method = server::wire::Method::kServerStats;
+  const server::wire::Response resp = service.execute(req);
+  std::printf("%s", server::wire::format_server_stats(resp.server).c_str());
 }
 
 int cmd_serve(const util::Flags& flags) {
@@ -695,7 +626,7 @@ int cmd_serve(const util::Flags& flags) {
                     server.service().metrics().queue_depth));
   }
   server.drain();
-  print_service_report(server.service().metrics(), server.loop_stats());
+  print_service_report(server.service());
   return 0;
 }
 
@@ -761,7 +692,7 @@ int cmd_cluster(const util::Flags& flags) {
                     service.metrics().queue_depth));
   }
   server.drain();
-  print_service_report(service.metrics(), server.loop_stats());
+  print_service_report(service);
   print_shard_table(coordinator.shard_stats());
   return 0;
 }

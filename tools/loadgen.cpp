@@ -39,7 +39,7 @@
 // tenant id drawn Zipf(--zipf) from --tenants tenants and a priority
 // class tied to its weight — interactive pings/window-sums, normal
 // scans/roll-ups, batch replays — and the report adds a per-class
-// latency table plus the server's own QoS counters (server_stats).
+// latency table plus the server's own counters (server_stats).
 //
 // --rate R switches the workers from closed-loop ("as fast as the
 // server answers") to an open-loop Poisson process at R req/s total:
@@ -70,6 +70,7 @@
 #include <vector>
 
 #include "cluster/coordinator.hpp"
+#include "qos/scheduler.hpp"
 #include "scenario/spec.hpp"
 #include "server/client.hpp"
 #include "telemetry/metric.hpp"
@@ -91,10 +92,6 @@ std::size_t bucket_of(double us) {
   return std::min(b, kBuckets - 1);
 }
 
-constexpr std::size_t kClasses = 3;  ///< interactive / normal / batch
-const char* const kClassNames[kClasses] = {"interactive", "normal",
-                                           "batch"};
-
 struct WorkerStats {
   std::uint64_t sent = 0;
   std::uint64_t ok = 0;
@@ -106,10 +103,10 @@ struct WorkerStats {
   std::vector<double> latencies_us;
   std::array<std::uint64_t, kBuckets> histogram{};
   /// --classes mode: the same outcomes split by priority class.
-  std::array<std::uint64_t, kClasses> class_sent{};
-  std::array<std::uint64_t, kClasses> class_ok{};
-  std::array<std::uint64_t, kClasses> class_shed{};
-  std::array<std::vector<double>, kClasses> class_latencies_us;
+  std::array<std::uint64_t, qos::kClassCount> class_sent{};
+  std::array<std::uint64_t, qos::kClassCount> class_ok{};
+  std::array<std::uint64_t, qos::kClassCount> class_shed{};
+  std::array<std::vector<double>, qos::kClassCount> class_latencies_us;
 };
 
 /// Zipf(alpha) sampler over tenants 1..n: tenant k with weight k^-alpha,
@@ -578,7 +575,7 @@ int main(int argc, char** argv) {
     for (std::size_t b = 0; b < kBuckets; ++b) {
       total.histogram[b] += s.histogram[b];
     }
-    for (std::size_t c = 0; c < kClasses; ++c) {
+    for (std::size_t c = 0; c < qos::kClassCount; ++c) {
       total.class_sent[c] += s.class_sent[c];
       total.class_ok[c] += s.class_ok[c];
       total.class_shed[c] += s.class_shed[c];
@@ -661,7 +658,7 @@ int main(int argc, char** argv) {
       std::snprintf(buf, sizeof(buf), "%.3f", v / 1000.0);
       return std::string(buf);
     };
-    for (std::size_t c = 0; c < kClasses; ++c) {
+    for (std::size_t c = 0; c < qos::kClassCount; ++c) {
       auto& lat = total.class_latencies_us[c];
       std::sort(lat.begin(), lat.end());
       const auto pct = [&](double q) {
@@ -669,37 +666,25 @@ int main(int argc, char** argv) {
                            : lat[static_cast<std::size_t>(
                                  q * static_cast<double>(lat.size() - 1))];
       };
-      t.add_row({kClassNames[c], std::to_string(total.class_sent[c]),
+      t.add_row({qos::class_name(static_cast<qos::Class>(c)),
+                 std::to_string(total.class_sent[c]),
                  std::to_string(total.class_ok[c]),
                  std::to_string(total.class_shed[c]), ms(pct(0.5)),
                  ms(pct(0.99)), ms(lat.empty() ? 0.0 : lat.back())});
     }
     std::printf("\nper-class breakdown:\n%s", t.str().c_str());
     if (coordinator == nullptr) {
-      // The server's own QoS accounting, read over the wire — served /
-      // shed / p99 as the scheduler saw them, plus the autoscaled worker
-      // count and the cost backlog still queued at the end of the run.
+      // The server's own counters, read over the wire: per-class served /
+      // shed / p99 as the scheduler saw them, workers, the cost backlog
+      // still queued at the end of the run, stream and transport.
       try {
         server::Client client(copts);
         server::wire::Request req;
         req.method = server::wire::Method::kServerStats;
         const auto resp = client.call(req);
         if (resp.status == server::wire::Status::kOk) {
-          std::printf("server qos: %llu worker(s), backlog %llu us",
-                      static_cast<unsigned long long>(
-                          resp.server.qos_workers),
-                      static_cast<unsigned long long>(
-                          resp.server.qos_backlog_cost_us));
-          for (std::size_t c = 0; c < kClasses; ++c) {
-            std::printf(" | %s %llu/%llu p99 %.2f ms", kClassNames[c],
-                        static_cast<unsigned long long>(
-                            resp.server.qos_served[c]),
-                        static_cast<unsigned long long>(
-                            resp.server.qos_shed[c]),
-                        static_cast<double>(resp.server.qos_p99_us[c]) /
-                            1000.0);
-          }
-          std::printf("\n");
+          std::printf("\nserver stats:\n%s",
+                      server::wire::format_server_stats(resp.server).c_str());
         }
       } catch (const net::NetError&) {
         // Server already gone; the client-side table above stands alone.
