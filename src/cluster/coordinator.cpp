@@ -12,6 +12,7 @@
 #include "telemetry/metric.hpp"
 #include "ts/series.hpp"
 #include "util/check.hpp"
+#include "util/text_table.hpp"
 
 namespace exawatt::cluster {
 
@@ -90,6 +91,26 @@ constexpr std::size_t kMaxScanIds = 4096;
 
 }  // namespace
 
+std::string format_shard_stats(const std::vector<ShardStats>& shards) {
+  util::TextTable t({"shard", "endpoint", "up", "calls", "ok", "shed",
+                     "deadline", "errors", "transport", "reconnects",
+                     "mean ms", "max ms"});
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const ShardStats& s = shards[i];
+    t.add_row({std::to_string(i), s.endpoint, s.up ? "yes" : "DOWN",
+               std::to_string(s.calls), std::to_string(s.ok),
+               std::to_string(s.shed), std::to_string(s.deadline_exceeded),
+               std::to_string(s.other_errors),
+               std::to_string(s.transport_errors),
+               std::to_string(s.reconnect_attempts) + "/" +
+                   std::to_string(s.reconnect_successes),
+               util::fmt_double(s.mean_latency_ms()),
+               util::fmt_double(static_cast<double>(s.latency_us_max) /
+                                1000.0)});
+  }
+  return t.str();
+}
+
 struct Coordinator::Link {
   mutable std::mutex mu;
   Endpoint endpoint;
@@ -133,8 +154,7 @@ wire::Response Coordinator::call_shard(Link& link, wire::Request request,
   }
   // Scan and node-means legs stream back chunked (unless the caller
   // already chose a size): results are identical byte-for-byte, the
-  // shard just never sends one oversized frame. Old shards trigger the
-  // Client's downgrade.
+  // shard just never sends one oversized frame.
   if ((request.method == wire::Method::kScan ||
        request.method == wire::Method::kNodeMeans) &&
       options_.leg_chunk_bytes != 0 && request.chunk_bytes == 0) {
@@ -474,13 +494,10 @@ void Coordinator::cluster_sum(const wire::Request& request,
   const auto oks =
       scatter(request.range, deadline_us, &resp->stats, [&](Link& link) {
         wire::Response leg = call_shard(link, means, deadline_us);
-        // A shard that predates node means cannot decode the leg
-        // (INVALID_ARGUMENT) or does not serve it (UNIMPLEMENTED): ask it
-        // for raw runs and coarsen them here, as it would have.
-        if (leg.status != wire::Status::kInvalidArgument &&
-            leg.status != wire::Status::kUnimplemented) {
-          return leg;
-        }
+        // A stacked coordinator does not serve node means (see execute):
+        // ask it for raw runs and coarsen them here, as a shard would
+        // have.
+        if (leg.status != wire::Status::kUnimplemented) return leg;
         if (ids.size() > kMaxScanIds) {
           too_wide = true;
           return leg;
@@ -502,9 +519,9 @@ void Coordinator::cluster_sum(const wire::Request& request,
   }
   if (!per_node) {
     // An id split across shards (mid-rebalance) needs the raw path, and
-    // so does an old shard, whose leg cluster_sum_raw refuses when the
-    // fan-in is wider than a raw leg may carry. Start over, charging
-    // each loss once.
+    // so does a stacked coordinator, whose leg cluster_sum_raw refuses
+    // when the fan-in is wider than a raw leg may carry. Start over,
+    // charging each loss once.
     resp->stats = {};
     cluster_sum_raw(request, ids, deadline_us, resp);
     return;
@@ -550,7 +567,7 @@ server::QueryService::Executor Coordinator::executor() {
                 server::ChunkWriter* /*stream*/) {
     // The coordinator's merged responses materialize (merge needs every
     // leg); the fronting Server chunks them at the wire when the client
-    // negotiated it, so `stream` needs no handling here.
+    // asked for it, so `stream` needs no handling here.
     return execute(request, cancel, deadline_us, emit);
   };
 }

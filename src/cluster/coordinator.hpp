@@ -41,8 +41,7 @@ struct CoordinatorOptions {
   bool prune = false;
   /// Scatter kScan and kNodeMeans legs as chunked streams of about this
   /// payload size, so a shard's answer flows through its stream gate
-  /// instead of one frame per leg. 0 = classic single-frame legs. Safe against
-  /// old shards: the Client's per-connection downgrade retries plain.
+  /// instead of one frame per leg. 0 = classic single-frame legs.
   std::uint32_t leg_chunk_bytes = 256 << 10;
 };
 
@@ -69,6 +68,12 @@ struct ShardStats {
   }
 };
 
+/// The links as a text table, one row per shard in `shards` order
+/// (latencies in ms to 3 decimals): what `exawatt_sim cluster` and
+/// `loadgen --cluster` print.
+[[nodiscard]] std::string format_shard_stats(
+    const std::vector<ShardStats>& shards);
+
 /// Scatter-gather front-end over N shard query servers. Plans each read
 /// against cached per-shard segment directories (time-range pruning),
 /// scatters sub-queries concurrently through one `server::Client` per
@@ -76,8 +81,9 @@ struct ShardStats {
 /// into the single-store answer shapes — bit-identical to one Store
 /// holding the union of the shards (gated by `ctest -L cluster`).
 /// A cluster_sum ships per-node window means (kNodeMeans legs) instead
-/// of raw samples; raw scan legs remain the fallback for shards that
-/// predate those legs and for ids split across shards mid-rebalance.
+/// of raw samples; raw scan legs remain the fallback for a shard that is
+/// itself a coordinator (it answers those legs UNIMPLEMENTED) and for ids
+/// split across shards mid-rebalance.
 ///
 /// Degraded reads: a shard that is down, times out, or sheds does not
 /// fail the query. Its would-have-been contribution is charged to

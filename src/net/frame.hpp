@@ -12,10 +12,10 @@ namespace exawatt::net {
 /// Wire framing of the query service (all integers little-endian):
 ///
 ///   [4]  magic "EXWN"
-///   [1]  u8  protocol version (1)
+///   [1]  u8  protocol version (kProtocolVersion)
 ///   [1]  u8  frame type (FrameType)
 ///   [2]  u16 flags (chunked-stream continuation bits; 0 on every other
-///        frame — the field pre-chunking peers required to be zero)
+///        frame)
 ///   [8]  u64 request id (echoed on responses/ticks of that request)
 ///   [4]  u32 payload length (bounded by kMaxPayload)
 ///   [4]  u32 CRC-32 of the payload (util::crc32, the store's checksum)
@@ -26,7 +26,11 @@ namespace exawatt::net {
 /// buffering, and any violation surfaces as a typed FrameError — the
 /// server answers with a goodbye frame and closes, it never crashes.
 inline constexpr std::uint8_t kFrameMagic[4] = {'E', 'X', 'W', 'N'};
-inline constexpr std::uint8_t kProtocolVersion = 1;
+/// The whole compatibility policy of the wire. Any change to a frame or
+/// payload layout (a field added, removed or moved in a request,
+/// response or tick) bumps it. A peer on another version is refused at
+/// its first frame with a kBadVersion goodbye; no field is negotiated.
+inline constexpr std::uint8_t kProtocolVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 24;
 /// Generous for any sane response (a day of 10 s windows is ~70 KB) but
 /// small enough that a hostile length can't balloon server memory.
@@ -34,10 +38,8 @@ inline constexpr std::size_t kFrameHeaderBytes = 24;
 inline constexpr std::size_t kMaxPayload = std::size_t{32} << 20;
 
 /// Continuation flags of a chunked response stream. Exactly one may be
-/// set, and only on kResponse frames; they appear on the wire only after
-/// the client negotiated chunking for that request (a pre-chunking peer
-/// treats any nonzero flag as its fatal "nonzero reserved field", which
-/// is why negotiation is per-request, never assumed).
+/// set, and only on kResponse frames; they appear on the wire only when
+/// the request asked for chunking (`wire::Request::chunk_bytes`).
 inline constexpr std::uint16_t kFrameFlagChunk = 0x1;  ///< fragment, more follow
 inline constexpr std::uint16_t kFrameFlagFinal = 0x2;  ///< last fragment
 /// Stream aborted mid-flight: the payload is a complete error response

@@ -12,11 +12,11 @@
 namespace exawatt::qos {
 
 /// Priority classes of the multi-tenant service, ordered best-first.
-/// Carried on the wire as request-extension tag 3 (absent = kNormal), so
-/// class-less legacy clients land in the middle tier unchanged.
+/// Carried in every request's header as `wire::Request::qos_class`
+/// (default kNormal).
 enum class Class : std::uint8_t {
   kInteractive = 0,  ///< health checks, dashboards — latency-critical
-  kNormal = 1,       ///< ordinary queries (and every legacy client)
+  kNormal = 1,       ///< ordinary queries (the request default)
   kBatch = 2,        ///< replays, sweeps, compaction — throughput work
 };
 
@@ -25,8 +25,8 @@ inline constexpr Class kDefaultClass = Class::kNormal;
 
 [[nodiscard]] const char* class_name(Class c);
 
-/// Wire value -> Class. Unknown future values demote to kBatch: a newer
-/// peer's unrecognized tier must never jump the interactive lane.
+/// Wire value -> Class. Any other value demotes to kBatch: a tier this
+/// service does not know must never jump the interactive lane.
 [[nodiscard]] Class class_from_wire(std::uint32_t v);
 
 struct SchedulerOptions {

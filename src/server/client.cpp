@@ -36,7 +36,6 @@ void Client::ensure_connected() {
   decoder_ = {};
   assembler_ = net::ChunkAssembler(options_.max_response_bytes);
   ever_connected_ = true;
-  peer_no_chunks_ = false;  // a restarted peer may be newer: probe again
   ++stats_.connects;
   if (reconnecting) ++stats_.reconnect_successes;
 }
@@ -103,19 +102,11 @@ wire::Response Client::call(const wire::Request& request) {
             "use Subscription for kSubscribe");
   ++stats_.calls;
   std::string last_error = "unreachable";
-  bool downgrade_retried = false;
   for (int attempt = 0; attempt <= options_.max_reconnects; ++attempt) {
     try {
       ensure_connected();
-      wire::Request effective = request;
-      if (peer_no_chunks_) {
-        effective.chunk_bytes = 0;
-        effective.want_scan_blocks = false;  // tags 2..4 are trailing
-        effective.qos_class = 1;             // bytes to an old peer too
-        effective.tenant = 0;
-      }
       const std::uint64_t id = next_id_++;
-      send_request(effective, id);
+      send_request(request, id);
       net::Frame frame = read_frame_for(id, options_.request_timeout_ms);
       // A call()er may receive ticks ahead of its response (a sweep
       // whose mask asked for streaming); they are skipped, not a
@@ -127,29 +118,12 @@ wire::Response Client::call(const wire::Request& request) {
         disconnect();
         throw net::NetError("unexpected frame type from server");
       }
-      wire::Response resp;
       try {
-        resp = wire::decode_response(frame.payload);
+        return wire::decode_response(frame.payload);
       } catch (const wire::WireError& e) {
         disconnect();
         throw net::NetError(std::string("bad response payload: ") + e.what());
       }
-      if ((effective.chunk_bytes != 0 || effective.want_scan_blocks ||
-           effective.qos_class != 1 || effective.tenant != 0) &&
-          resp.status == wire::Status::kInvalidArgument &&
-          resp.message.find("trailing bytes") != std::string::npos) {
-        // Mixed-version negotiation: a pre-extension server rejects the
-        // tagged trailer (chunking or qos) as trailing bytes. Downgrade
-        // (sticky for this connection's lifetime) and retry once without
-        // burning a reconnect attempt — the connection itself is healthy.
-        peer_no_chunks_ = true;
-        if (!downgrade_retried) {
-          downgrade_retried = true;
-          --attempt;
-          continue;
-        }
-      }
-      return resp;
     } catch (const net::NetError& e) {
       ++stats_.transport_errors;
       last_error = e.what();

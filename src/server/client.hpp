@@ -69,11 +69,6 @@ class Client {
   net::ChunkAssembler assembler_;
   std::uint64_t next_id_ = 1;
   bool ever_connected_ = false;
-  /// Downgrade for this connection: the peer rejected the extension
-  /// tags ("trailing bytes..." INVALID_ARGUMENT), so it predates them —
-  /// every later request on this stream is sent plain, no repeated probe
-  /// round-trips. Cleared whenever a new stream opens.
-  bool peer_no_chunks_ = false;
   ClientStats stats_;
 };
 

@@ -11,7 +11,7 @@ namespace exawatt::server {
 
 namespace {
 
-/// Negotiated chunk payload clamp: small enough that one chunk never
+/// Requested chunk payload clamp: small enough that one chunk never
 /// monopolizes a gate budget, large enough that framing overhead stays
 /// negligible. The client asked for *about* this much per frame.
 constexpr std::uint32_t kMinChunkBytes = 512;
@@ -116,7 +116,7 @@ void Server::on_frame(net::ConnId conn, net::Frame&& frame) {
 
   const CancelToken token = token_of(conn);
 
-  // Chunked streaming, when the request negotiated it: the writer slices
+  // Chunked streaming, when the request asked for it: the writer slices
   // encoded response bytes into kChunk/kFinal frames whose budget it
   // acquires from this connection's stream gate — a peer that stops
   // draining pauses the producing worker instead of ballooning memory.

@@ -630,7 +630,6 @@ void QueryService::submit(wire::Request request, CancelToken cancel,
                           Emit emit, Done done, ChunkWriter* stream) {
   // Everything the worker needs travels in one shared Admitted record:
   // the run and shed closures alias it instead of copying the request.
-  const bool qos_tagged = request.qos_class != 1 || request.tenant != 0;
   const qos::Class cls = qos::class_from_wire(request.qos_class);
   const std::uint32_t tenant = request.tenant;
   const std::uint64_t cost_us = qos_cost_.price(request);
@@ -651,7 +650,6 @@ void QueryService::submit(wire::Request request, CancelToken cancel,
           ? admitted_us + static_cast<std::int64_t>(deadline_ms) * 1000
           : 0;
   a->cls = cls;
-  a->qos_tagged = qos_tagged;
   a->cost_us = cost_us;
 
   qos::Item item;
@@ -671,10 +669,7 @@ void QueryService::submit(wire::Request request, CancelToken cancel,
     resp.status = wire::Status::kResourceExhausted;
     resp.message = "queue overloaded: request shed (estimated cost " +
                    std::to_string(a->cost_us) + " us)";
-    // The cost hint is a response extension old decoders reject, so it
-    // rides only to peers that proved themselves new by tagging the
-    // request.
-    if (a->qos_tagged) resp.shed_cost_hint_us = a->cost_us;
+    resp.shed_cost_hint_us = a->cost_us;
     a->done(std::move(resp));
     std::lock_guard lk(mu_);  // settled after `done`, as in finish()
     ++shed_;

@@ -138,7 +138,7 @@ class QueryService {
   /// it ahead of the summary response, every other method ignores it.
   /// kServerStats never reaches the executor: the service answers it
   /// itself (the counters are its own). `stream` (null when the request
-  /// did not negotiate chunking) is the chunked response channel: a
+  /// did not ask for chunking) is the chunked response channel: a
   /// streaming-aware body writes encoded response bytes through it as
   /// they are produced — pausing under backpressure inside
   /// ChunkWriter — and returns a kOk response with `streamed` data left
@@ -167,7 +167,7 @@ class QueryService {
   void set_stats_augment(StatsAugment augment);
 
   /// `stream` must outlive the request (the server keeps its shared_ptr
-  /// alive in `done`); null = the request did not negotiate chunking.
+  /// alive in `done`); null = the request did not ask for chunking.
   void submit(wire::Request request, CancelToken cancel, Emit emit,
               Done done, ChunkWriter* stream = nullptr);
 
@@ -221,8 +221,7 @@ class QueryService {
     std::int64_t admitted_us = 0;
     std::int64_t deadline_us = 0;
     qos::Class cls = qos::kDefaultClass;
-    bool qos_tagged = false;     ///< peer sent a qos extension tag
-    std::uint64_t cost_us = 0;   ///< admission estimate
+    std::uint64_t cost_us = 0;  ///< admission estimate
   };
 
   /// The admitted execution body: cancel/deadline gates, subscribe

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "telemetry/codec.hpp"
 #include "util/check.hpp"
@@ -147,10 +148,27 @@ Method read_method(Reader& r) {
   return static_cast<Method>(m);
 }
 
-/// ScenarioSpec travels with its cooling override as a count-prefixed
-/// double block: a decoder fills the tunables it knows by position and
-/// skips the rest, so adding a CoolingParams field is not a protocol
-/// break.
+/// The cooling tunables a spec flagged `has_cooling` carries, in wire
+/// order: one list for the encoder and the decoder.
+template <typename Cooling, typename Field>
+void for_each_tunable(Cooling& c, Field&& field) {
+  field(c.mtw_supply_setpoint_c);
+  field(c.tower_approach_c);
+  field(c.tower_fade_band_c);
+  field(c.stage_up_tau_s);
+  field(c.stage_down_tau_s);
+  field(c.supply_tau_s);
+  field(c.loop_w_per_c);
+  field(c.return_delay_s);
+  field(c.pump_power_w);
+  field(c.distribution_loss_frac);
+  field(c.tower_fan_w_per_w);
+  field(c.chiller_w_per_w);
+}
+
+/// Name, flags, power cap, wet-bulb offset, weather seed (32 fixed bytes
+/// besides the name), then, only with `has_cooling`, the 12 tunables as
+/// doubles.
 void write_spec(Writer& w, const scenario::ScenarioSpec& spec) {
   w.str(spec.name);
   std::uint32_t flags = 0;
@@ -161,19 +179,11 @@ void write_spec(Writer& w, const scenario::ScenarioSpec& spec) {
   w.f64(spec.power_cap_w);
   w.f64(spec.wet_bulb_offset_c);
   w.u64(spec.weather_seed);
-  if (!spec.has_cooling) {
-    w.u64(0);
-    return;
+  if (spec.has_cooling) {
+    for_each_tunable(spec.cooling, [&w](const auto& v) {
+      w.f64(static_cast<double>(v));
+    });
   }
-  const facility::CoolingParams& c = spec.cooling;
-  const double cooling[] = {
-      c.mtw_supply_setpoint_c, c.tower_approach_c,  c.tower_fade_band_c,
-      c.stage_up_tau_s,        c.stage_down_tau_s,  c.supply_tau_s,
-      c.loop_w_per_c,          static_cast<double>(c.return_delay_s),
-      c.pump_power_w,          c.distribution_loss_frac,
-      c.tower_fan_w_per_w,     c.chiller_w_per_w,
-  };
-  w.doubles(cooling);
 }
 
 scenario::ScenarioSpec read_spec(Reader& r) {
@@ -186,28 +196,10 @@ scenario::ScenarioSpec read_spec(Reader& r) {
   spec.power_cap_w = r.f64();
   spec.wet_bulb_offset_c = r.f64();
   spec.weather_seed = r.u64();
-  const std::size_t n = r.count(8);
-  facility::CoolingParams& c = spec.cooling;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = r.f64();
-    switch (i) {
-      case 0: c.mtw_supply_setpoint_c = v; break;
-      case 1: c.tower_approach_c = v; break;
-      case 2: c.tower_fade_band_c = v; break;
-      case 3: c.stage_up_tau_s = v; break;
-      case 4: c.stage_down_tau_s = v; break;
-      case 5: c.supply_tau_s = v; break;
-      case 6: c.loop_w_per_c = v; break;
-      case 7: c.return_delay_s = static_cast<util::TimeSec>(v); break;
-      case 8: c.pump_power_w = v; break;
-      case 9: c.distribution_loss_frac = v; break;
-      case 10: c.tower_fan_w_per_w = v; break;
-      case 11: c.chiller_w_per_w = v; break;
-      default: break;  // newer peer's tunable — skip
-    }
-  }
-  if (spec.has_cooling && n == 0) {
-    throw WireError("cooling override flagged but no tunables sent");
+  if (spec.has_cooling) {
+    for_each_tunable(spec.cooling, [&r](auto& v) {
+      v = static_cast<std::remove_reference_t<decltype(v)>>(r.f64());
+    });
   }
   return spec;
 }
@@ -304,9 +296,15 @@ const char* status_name(Status s) {
 }
 
 std::vector<std::uint8_t> encode_request(const Request& req) {
+  // Every request opens with the same 18 bytes: method, deadline and the
+  // per-call options, whatever the method.
   Writer w;
   w.u8(static_cast<std::uint8_t>(req.method));
   w.u32(req.deadline_ms);
+  w.u32(req.chunk_bytes);
+  w.u8(req.want_scan_blocks ? 1 : 0);
+  w.u32(req.qos_class);
+  w.u32(req.tenant);
   switch (req.method) {
     case Method::kPing:
     case Method::kServerStats:
@@ -353,33 +351,6 @@ std::vector<std::uint8_t> encode_request(const Request& req) {
     case Method::kScanBlocks:
       throw WireError("scan_blocks is response-only (request as kScan)");
   }
-  // Trailing (tag,value) extension block, written only when a non-default
-  // option is set: a peer that predates it sees "trailing bytes after
-  // request" (per-request INVALID_ARGUMENT, connection intact) and the
-  // Client falls back to a plain request — never a silent misparse.
-  const std::uint32_t n_ext = (req.chunk_bytes != 0 ? 1u : 0u) +
-                              (req.want_scan_blocks ? 1u : 0u) +
-                              (req.qos_class != 1 ? 1u : 0u) +
-                              (req.tenant != 0 ? 1u : 0u);
-  if (n_ext != 0) {
-    w.u32(n_ext);  // extension count
-    if (req.chunk_bytes != 0) {
-      w.u32(1);  // tag 1: chunk_bytes
-      w.u32(req.chunk_bytes);
-    }
-    if (req.want_scan_blocks) {
-      w.u32(2);  // tag 2: answer a kScan in block form
-      w.u32(1);
-    }
-    if (req.qos_class != 1) {
-      w.u32(3);  // tag 3: QoS priority class
-      w.u32(req.qos_class);
-    }
-    if (req.tenant != 0) {
-      w.u32(4);  // tag 4: tenant id (per-tenant fair queueing)
-      w.u32(req.tenant);
-    }
-  }
   return w.take();
 }
 
@@ -388,6 +359,10 @@ Request decode_request(std::span<const std::uint8_t> payload) {
   Request req;
   req.method = read_method(r);
   req.deadline_ms = r.u32();
+  req.chunk_bytes = r.u32();
+  req.want_scan_blocks = r.u8() != 0;
+  req.qos_class = r.u32();
+  req.tenant = r.u32();
   switch (req.method) {
     case Method::kPing:
     case Method::kServerStats:
@@ -435,9 +410,9 @@ Request decode_request(std::span<const std::uint8_t> payload) {
       req.range.end = r.i64();
       req.window = r.i64();
       req.subscribe_mask = r.u8();
-      // 40 = the fixed bytes of one spec (4-byte name length + flags +
-      // two doubles + seed + cooling count) — bounds the allocation.
-      const std::size_t n_specs = r.count(40);
+      // 32 = the fixed bytes of one spec (see write_spec) — bounds the
+      // allocation.
+      const std::size_t n_specs = r.count(32);
       req.scenarios.reserve(n_specs);
       for (std::size_t i = 0; i < n_specs; ++i) {
         req.scenarios.push_back(read_spec(r));
@@ -446,25 +421,6 @@ Request decode_request(std::span<const std::uint8_t> payload) {
     }
     case Method::kScanBlocks:
       throw WireError("scan_blocks is response-only (request as kScan)");
-  }
-  if (!r.done()) {
-    // (tag,value) extensions appended by newer clients; unknown tags are
-    // skipped so this decoder stays forward-compatible.
-    const std::uint32_t n_ext = r.u32();
-    if (n_ext > r.remaining() / 8) {
-      throw WireError("declared count exceeds payload");
-    }
-    for (std::uint32_t i = 0; i < n_ext; ++i) {
-      const std::uint32_t tag = r.u32();
-      const std::uint32_t value = r.u32();
-      switch (tag) {
-        case 1: req.chunk_bytes = value; break;
-        case 2: req.want_scan_blocks = value != 0; break;
-        case 3: req.qos_class = value; break;
-        case 4: req.tenant = value; break;
-        default: break;  // newer peer's option — skip
-      }
-    }
   }
   if (!r.done()) throw WireError("trailing bytes after request");
   return req;
@@ -476,14 +432,7 @@ std::vector<std::uint8_t> encode_response(const Response& resp) {
   w.u8(static_cast<std::uint8_t>(resp.method));
   if (resp.status != Status::kOk) {
     w.str(resp.message);
-    // Count-prefixed u64 extension block; index 0 = shed cost hint. A
-    // pre-QoS decoder throws "trailing bytes after error response" on
-    // it, so the service only sets the hint for peers whose request
-    // carried a qos tag (see Response::shed_cost_hint_us).
-    if (resp.shed_cost_hint_us != 0) {
-      w.u64(1);
-      w.u64(resp.shed_cost_hint_us);
-    }
+    w.u64(resp.shed_cost_hint_us);
     return w.take();
   }
   switch (resp.method) {
@@ -598,19 +547,7 @@ Response decode_response(std::span<const std::uint8_t> payload) {
   resp.method = read_method(r);
   if (resp.status != Status::kOk) {
     resp.message = r.str();
-    if (!r.done()) {
-      // Count-prefixed extension (shed cost hint and whatever a newer
-      // server appends after it): entries this decoder does not know are
-      // consumed and skipped.
-      const std::size_t n_ext = r.count(8);
-      for (std::size_t i = 0; i < n_ext; ++i) {
-        const std::uint64_t v = r.u64();
-        switch (i) {
-          case 0: resp.shed_cost_hint_us = v; break;
-          default: break;  // newer peer's field — skip
-        }
-      }
-    }
+    resp.shed_cost_hint_us = r.u64();
     if (!r.done()) throw WireError("trailing bytes after error response");
     return resp;
   }

@@ -42,18 +42,18 @@ enum class Method : std::uint8_t {
   /// Response-only: a kScan answered in block form. Runs arrive as raw
   /// still-encoded codec blocks (sliced zero-copy from mapped segments
   /// server-side) plus loose boundary samples; the client decodes and
-  /// re-sorts into the identical MetricRuns a kScan would carry. Opted
-  /// into per-request via extension tag 2 on a kScan — a server that
-  /// predates it ignores the tag and answers classic kScan, so the
-  /// decoder must accept either method back.
+  /// re-sorts into the identical MetricRuns a kScan would carry. Asked
+  /// for by `Request::want_scan_blocks` on a chunked kScan; a kScan the
+  /// server does not answer in block form comes back as classic kScan,
+  /// so the decoder accepts either method back.
   kScanBlocks = 10,
   /// Shard-internal leg of a clustered kClusterSum. The request has
   /// kClusterSum's layout; the answer has kScan's run encoding, one run
   /// per requested node (id `metric_id(node, channel)`, request order)
   /// whose samples are (window start, mean) for every window where the
   /// node's coarsened series holds data — all `store::reduce_cluster_sum`
-  /// reads of a node. A shard that predates it answers INVALID_ARGUMENT
-  /// ("unknown method") and the coordinator asks it for raw runs instead.
+  /// reads of a node. A coordinator serving as a shard answers it
+  /// UNIMPLEMENTED, and its parent asks it for raw runs instead.
   kNodeMeans = 11,
 };
 
@@ -102,32 +102,25 @@ struct Request {
   /// kScenario (exactly one) / kScenarioSweep (1..kMaxSweepVariants).
   std::vector<scenario::ScenarioSpec> scenarios;
 
+  // The per-call options below travel in every request's fixed header.
+
   /// Nonzero opts this request into chunked streaming responses: the
   /// server may answer with kChunk/kFinal continuation frames of about
-  /// this payload size instead of one materialized response. Travels as
-  /// a trailing (tag,value) extension block — a pre-chunking server
-  /// rejects it with INVALID_ARGUMENT ("trailing bytes"), which the
-  /// Client treats as "peer too old" and transparently retries without
-  /// it, so mixed-version fleets keep working.
+  /// this payload size instead of one materialized response.
   std::uint32_t chunk_bytes = 0;
 
   /// On a chunked kScan, asks the server to answer in kScanBlocks form
   /// (raw encoded blocks instead of decoded samples — the zero-copy
-  /// scan-to-wire path). Travels as extension tag 2; servers that
-  /// predate it skip the tag and answer classic kScan, so setting this
-  /// is always safe. Meaningful only together with `chunk_bytes`.
+  /// scan-to-wire path). Meaningful only together with `chunk_bytes`.
   bool want_scan_blocks = false;
 
-  /// QoS priority class: 0 interactive, 1 normal, 2 batch (the decoder
-  /// demotes unknown future values to batch — a tier this server does
-  /// not know must never jump the interactive lane). Travels as
-  /// extension tag 3, written only when non-default, so a class-less
-  /// legacy client's bytes are unchanged and lands in `normal`.
+  /// QoS priority class: 0 interactive, 1 normal, 2 batch (the service
+  /// demotes any other value to batch — a tier it does not know must
+  /// never jump the interactive lane).
   std::uint32_t qos_class = 1;
 
   /// Tenant id for per-tenant fair queueing inside a class; 0 (the
-  /// default) is the anonymous tenant every legacy client shares.
-  /// Extension tag 4.
+  /// default) is the anonymous tenant.
   std::uint32_t tenant = 0;
 };
 
@@ -175,11 +168,8 @@ struct Response {
 
   /// On a QoS shed (RESOURCE_EXHAUSTED), the refused request's estimated
   /// cost in microseconds — the client-side hint for backoff/splitting.
-  /// Travels as a count-prefixed u64 block after the error message, and
-  /// ONLY to peers whose request carried a qos extension tag (proof the
-  /// peer is new enough): an old decoder throws on trailing bytes after
-  /// an error response, so the server never volunteers the block to a
-  /// peer that did not implicitly opt in.
+  /// Every error response carries it as a u64 after the message (0 when
+  /// the error is not a shed).
   std::uint64_t shed_cost_hint_us = 0;
 
   store::WindowSum window_sum;          // kWindowSum
@@ -203,8 +193,8 @@ enum class TickKind : std::uint8_t {
   kAlert = 2,   ///< one alert engine transition
   kEnd = 4,     ///< subscription finished (replay reached range end)
   /// One closed window of one sweep variant (kScenarioSweep streaming;
-  /// `variant` says which). Sent only to peers that asked for window
-  /// ticks on a sweep, so an old peer never sees the unknown kind.
+  /// `variant` says which). Sent only when the sweep's `subscribe_mask`
+  /// asked for window ticks.
   kVariantWindow = 8,
 };
 

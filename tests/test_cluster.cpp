@@ -619,8 +619,8 @@ using server::wire::Request;
 using server::wire::Response;
 using server::wire::Status;
 
-/// A shard that predates node-means legs: its request decoder rejects the
-/// method, which the server answers INVALID_ARGUMENT.
+/// A shard that does not serve node-means legs: it answers them
+/// UNIMPLEMENTED, as a coordinator serving as a shard does.
 server::QueryService::Executor pre_node_means(const store::Store& store) {
   return [inner = server::make_store_executor(store)](
              const Request& request, const server::CancelToken& cancel,
@@ -632,22 +632,37 @@ server::QueryService::Executor pre_node_means(const store::Store& store) {
     }
     Response resp;
     resp.method = request.method;
-    resp.status = Status::kInvalidArgument;
-    resp.message = "unknown method 11";
+    resp.status = Status::kUnimplemented;
+    resp.message = "node_means is not served here";
     return resp;
   };
 }
 
+/// Scatter legs each shard of `coordinator` was sent by `request` (its
+/// directory fetch on first contact included).
+std::vector<std::uint64_t> legs_of(cluster::Coordinator& coordinator,
+                                   const Request& request, Response* resp) {
+  const auto before = coordinator.shard_stats();
+  *resp = coordinator.execute(request, nullptr, 0);
+  const auto after = coordinator.shard_stats();
+  std::vector<std::uint64_t> out;
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    out.push_back(after[i].calls - before[i].calls);
+  }
+  return out;
+}
+
 /// Loopback servers over `stores` (as `serve` runs them) and a
-/// coordinator fronting them. The shards listed in `old` serve through
-/// `pre_node_means`.
+/// coordinator fronting them. The shards listed in `without_means` serve
+/// through `pre_node_means`.
 class ServedShards {
  public:
   explicit ServedShards(const std::vector<const store::Store*>& stores,
-                        const std::vector<std::size_t>& old = {}) {
+                        const std::vector<std::size_t>& without_means = {}) {
     cluster::CoordinatorOptions options;
     for (std::size_t i = 0; i < stores.size(); ++i) {
-      if (std::find(old.begin(), old.end(), i) != old.end()) {
+      if (std::find(without_means.begin(), without_means.end(), i) !=
+          without_means.end()) {
         services_.push_back(std::make_unique<server::QueryService>(
             pre_node_means(*stores[i])));
         servers_.push_back(
@@ -665,18 +680,9 @@ class ServedShards {
   /// Take shard `shard`'s endpoint away; its store stays open.
   void stop(std::size_t shard) { servers_[shard].reset(); }
 
-  /// Scatter legs each shard was sent by `request` (its directory fetch
-  /// on first contact included).
   [[nodiscard]] std::vector<std::uint64_t> legs(const Request& request,
                                                 Response* resp) {
-    const auto before = coordinator_->shard_stats();
-    *resp = coordinator_->execute(request, nullptr, 0);
-    const auto after = coordinator_->shard_stats();
-    std::vector<std::uint64_t> out;
-    for (std::size_t i = 0; i < after.size(); ++i) {
-      out.push_back(after[i].calls - before[i].calls);
-    }
-    return out;
+    return legs_of(*coordinator_, request, resp);
   }
 
  private:
@@ -807,17 +813,34 @@ struct Partition {
   std::vector<store::Store> shards;
 };
 
-TEST(NodeMeans, OldShardGetsARawLegAndTheAnswerIsUnchanged) {
-  Partition p("node_means_old_shard");
-  ServedShards served(p.stores(), {1});
+TEST(NodeMeans, StackedCoordinatorGetsARawLegAndTheAnswerIsUnchanged) {
+  Partition p("node_means_stacked");
+  e2e::LoopbackServer store0(p.shards[0]);
+  e2e::LoopbackServer store1(p.shards[1]);
+  e2e::LoopbackServer store2(p.shards[2]);
+  // Shard 1 of the outer coordinator is an inner coordinator fronting
+  // the served store 1.
+  cluster::CoordinatorOptions inner_options;
+  inner_options.shards.push_back({"127.0.0.1", store1.server().port()});
+  cluster::Coordinator inner(inner_options);
+  server::QueryService inner_service(inner.executor());
+  e2e::LoopbackServer inner_server(inner_service);
+  cluster::CoordinatorOptions options;
+  for (e2e::LoopbackServer* s : {&store0, &inner_server, &store2}) {
+    options.shards.push_back({"127.0.0.1", s->server().port()});
+  }
+  cluster::Coordinator outer(options);
+
   const Request req =
       roll_up({0, 1, 2, 3, 4, 5, 6, 7, 8}, kPowerChannel, {0, 600}, 10);
   Response resp;
-  (void)served.legs(req, &resp);
+  (void)legs_of(outer, req, &resp);  // first contact fetches directories
   expect_roll_up(resp, p.full, req);
   EXPECT_EQ(resp.stats.lost_segments, 0u);
-  // Shard 1 is asked for means, refuses, and answers a raw scan leg.
-  EXPECT_EQ(served.legs(req, &resp), (std::vector<std::uint64_t>{1, 2, 1}));
+  // Shard 1 is asked for means, answers UNIMPLEMENTED, then gets a raw
+  // scan leg.
+  EXPECT_EQ(legs_of(outer, req, &resp),
+            (std::vector<std::uint64_t>{1, 2, 1}));
   expect_roll_up(resp, p.full, req);
   EXPECT_EQ(resp.stats.lost_segments, 0u);
 }
@@ -869,11 +892,35 @@ TEST(NodeMeans, WholeMachineRollUpIsNotCappedAtTheScanLimit) {
     expect_roll_up(served.coordinator().execute(req, nullptr, 0), p.full,
                    req);
   }
-  // An old shard needs raw legs, which keep the cap.
+  // A shard without node means needs raw legs, which keep the cap.
   ServedShards mixed(p.stores(), {2});
   const Response resp = mixed.coordinator().execute(req, nullptr, 0);
   EXPECT_EQ(resp.status, Status::kInvalidArgument);
   EXPECT_EQ(resp.stats.lost_segments, 0u);
+}
+
+TEST(ShardStats, FormatPrintsOneRowPerShard) {
+  cluster::ShardStats s;
+  s.endpoint = "10.0.0.7:4627";
+  s.up = false;
+  s.calls = 6;
+  s.ok = 2;
+  s.shed = 1;
+  s.deadline_exceeded = 1;
+  s.other_errors = 1;
+  s.transport_errors = 1;
+  s.reconnect_attempts = 3;
+  s.reconnect_successes = 2;
+  s.latency_us_total = 7'500;  // over 5 completed legs
+  s.latency_us_max = 4'250;
+  const std::string expected =
+      "shard  endpoint       up    calls  ok  shed  deadline  errors  "
+      "transport  reconnects  mean ms  max ms\n" +
+      std::string(101, '-') +
+      "\n"
+      "0      10.0.0.7:4627  DOWN  6      2   1     1         1       "
+      "1          3/2         1.500    4.250 \n";
+  EXPECT_EQ(cluster::format_shard_stats({s}), expected);
 }
 
 }  // namespace

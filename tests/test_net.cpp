@@ -20,7 +20,10 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "e2e_rig.hpp"
 #include "net/event_loop.hpp"
@@ -237,10 +240,12 @@ TEST(Wire, ResponseRoundTripsBitIdentically) {
   err.status = server::wire::Status::kResourceExhausted;
   err.method = server::wire::Method::kPing;
   err.message = "admission queue full (256)";
+  err.shed_cost_hint_us = 1234;
   const auto err_back =
       server::wire::decode_response(server::wire::encode_response(err));
   EXPECT_EQ(err_back.status, server::wire::Status::kResourceExhausted);
   EXPECT_EQ(err_back.message, err.message);
+  EXPECT_EQ(err_back.shed_cost_hint_us, 1234u);
 }
 
 TEST(Wire, ServerStatsRoundTripsItsNamedCounters) {
@@ -321,12 +326,21 @@ TEST(Wire, EveryTruncationIsRejectedNotCrashed) {
   req.method = server::wire::Method::kScan;
   req.metrics = {1, 2, 3, 4};
   req.range = {0, 600};
-  const auto req_bytes = server::wire::encode_request(req);
-  for (std::size_t keep = 0; keep < req_bytes.size(); ++keep) {
-    EXPECT_THROW(
-        (void)server::wire::decode_request({req_bytes.data(), keep}),
-        server::wire::WireError)
-        << "request prefix " << keep;
+  // With every per-call option set too: they are fixed fields, so no
+  // prefix that stops short of them decodes as a request without them.
+  server::wire::Request tagged = req;
+  tagged.chunk_bytes = 4096;
+  tagged.want_scan_blocks = true;
+  tagged.qos_class = 2;
+  tagged.tenant = 7;
+  for (const server::wire::Request& q : {req, tagged}) {
+    const auto req_bytes = server::wire::encode_request(q);
+    for (std::size_t keep = 0; keep < req_bytes.size(); ++keep) {
+      EXPECT_THROW(
+          (void)server::wire::decode_request({req_bytes.data(), keep}),
+          server::wire::WireError)
+          << "request prefix " << keep << " of " << req_bytes.size();
+    }
   }
 
   server::wire::Response resp;
@@ -349,17 +363,174 @@ TEST(Wire, EveryTruncationIsRejectedNotCrashed) {
   }
 }
 
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+TEST(Wire, GoldenBytesPinThePayloadLayout) {
+  // The frame's version byte is the wire's only compatibility check: a
+  // peer on another version is refused at its first frame, and nothing
+  // above it is negotiated. So a payload layout may change only together
+  // with that byte. These are version 2's bytes.
+  constexpr const char* kBump =
+      "payload layout changed: bump net::kProtocolVersion and update these "
+      "bytes";
+  EXPECT_EQ(net::kProtocolVersion, 2) << kBump;
+
+  using server::wire::Method;
+  server::wire::Request base;
+  base.deadline_ms = 250;
+  base.chunk_bytes = 4096;
+  base.want_scan_blocks = true;
+  base.qos_class = 2;
+  base.tenant = 7;
+  const auto request = [&base](Method m) {
+    server::wire::Request req = base;
+    req.method = m;
+    return req;
+  };
+  scenario::ScenarioSpec cap;
+  cap.name = "cap";
+  cap.power_cap_w = 1e7;
+  scenario::ScenarioSpec tuned;
+  tuned.name = "t";
+  tuned.force_chillers = true;
+  tuned.has_weather_seed = true;
+  tuned.weather_seed = 99;
+  tuned.has_cooling = true;
+
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> cases;
+  const auto add = [&cases](const server::wire::Request& req) {
+    cases.emplace_back(std::string("request ") +
+                           server::wire::method_name(req.method),
+                       server::wire::encode_request(req));
+  };
+  add(request(Method::kPing));
+  auto window_sum = request(Method::kWindowSum);
+  window_sum.metric = 0x10203;
+  window_sum.range = {100, 700};
+  window_sum.window = 10;
+  add(window_sum);
+  auto scan = request(Method::kScan);
+  scan.metrics = {5, 6};
+  scan.range = {0, 60};
+  add(scan);
+  for (const Method m :
+       {Method::kClusterSum, Method::kPueRollup, Method::kNodeMeans}) {
+    auto roll_up = request(m);
+    roll_up.nodes = {0, 3};
+    roll_up.channel = 12;
+    roll_up.range = {100, 700};
+    roll_up.window = 10;
+    add(roll_up);
+  }
+  auto subscribe = request(Method::kSubscribe);
+  subscribe.subscribe_mask = 0x5;
+  add(subscribe);
+  add(request(Method::kServerStats));
+  add(request(Method::kDirectory));
+  for (const Method m : {Method::kScenario, Method::kScenarioSweep}) {
+    auto what_if = request(m);
+    what_if.nodes = {1};
+    what_if.range = {0, 600};
+    what_if.window = 10;
+    what_if.subscribe_mask = 0x1;
+    what_if.scenarios = {cap};
+    if (m == Method::kScenarioSweep) what_if.scenarios.push_back(tuned);
+    add(what_if);
+  }
+
+  server::wire::Response ok;
+  ok.method = Method::kClusterSum;
+  ok.series = ts::Series(100, 10, {1.5, -2.0});
+  ok.counts = {2.0, 1.0};
+  ok.stats.lost_segments = 1;
+  ok.stats.cache_hits = 3;
+  server::wire::Response error;
+  error.status = server::wire::Status::kResourceExhausted;
+  error.method = Method::kScan;
+  error.message = "shed";
+  error.shed_cost_hint_us = 1234;
+  server::wire::Response stats;
+  stats.method = Method::kServerStats;
+  stats.server.add("a.b", 1.0);
+  for (const auto& [what, resp] :
+       {std::pair{"response ok", ok}, std::pair{"response error", error},
+        std::pair{"response stats", stats}}) {
+    cases.emplace_back(what, server::wire::encode_response(resp));
+  }
+
+  const std::vector<std::string> golden = {
+      // request ping
+      "00fa00000000100000010200000007000000",
+      // request window_sum
+      "01fa00000000100000010200000007000000030201006400000000000000bc02"
+      "0000000000000a00000000000000",
+      // request scan
+      "02fa000000001000000102000000070000000200000000000000050000000600"
+      "000000000000000000003c00000000000000",
+      // request cluster_sum
+      "03fa000000001000000102000000070000000200000000000000000000000300"
+      "00000c0000006400000000000000bc020000000000000a00000000000000",
+      // request pue_rollup
+      "04fa000000001000000102000000070000000200000000000000000000000300"
+      "00000c0000006400000000000000bc020000000000000a00000000000000",
+      // request node_means
+      "0bfa000000001000000102000000070000000200000000000000000000000300"
+      "00000c0000006400000000000000bc020000000000000a00000000000000",
+      // request subscribe
+      "05fa0000000010000001020000000700000005",
+      // request server_stats
+      "06fa00000000100000010200000007000000",
+      // request directory
+      "07fa00000000100000010200000007000000",
+      // request scenario
+      "08fa000000001000000102000000070000000100000000000000010000000000"
+      "00000000000058020000000000000a0000000000000001010000000000000003"
+      "0000006361700000000000000000d01263410000000000000000000000000000"
+      "0000",
+      // request scenario_sweep
+      "09fa000000001000000102000000070000000100000000000000010000000000"
+      "00000000000058020000000000000a0000000000000001020000000000000003"
+      "0000006361700000000000000000d01263410000000000000000000000000000"
+      "0000010000007407000000000000000000000000000000000000006300000000"
+      "0000000000000000003440000000000000084000000000000010400000000000"
+      "804b400000000000406540000000000080564000000000804f22410000000000"
+      "004e400000000000bd0f41b81e85eb51b89e3ffca9f1d24d62a03fe17a14ae47"
+      "e1ca3f",
+      // response ok (cluster_sum)
+      "000364000000000000000a000000000000000200000000000000000000000000"
+      "f83f00000000000000c002000000000000000000000000000040000000000000"
+      "f03f010000000000000000000000000000000300000000000000000000000000"
+      "0000",
+      // response error (shed)
+      "01020400000073686564d204000000000000",
+      // response stats
+      "0006010000000000000003000000612e62000000000000f03f",
+  };
+  ASSERT_EQ(cases.size(), golden.size()) << kBump;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(hex(cases[i].second), golden[i])
+        << cases[i].first << ": " << kBump;
+  }
+}
+
 TEST(Wire, HostileElementCountIsRejectedBeforeAllocation) {
-  // A scan request claiming 2^31 metric ids in a 30-byte payload must be
+  // A scan request claiming 2^31 metric ids in a 46-byte payload must be
   // rejected by the count-vs-remaining-bytes check, not attempted.
   server::wire::Request req;
   req.method = server::wire::Method::kScan;
   req.metrics = {1};
   auto bytes = server::wire::encode_request(req);
-  // The metric count is the u32 right after method(1)+deadline(4)+
-  // range(16)+window(8) = byte 29 in the scan layout; rather than
-  // hard-code that, just splat a huge count over every u32-aligned spot
-  // and require *some* WireError (never a bad_alloc / crash).
+  // The metric count is the u64 right after the 18-byte request header;
+  // rather than hard-code that, just splat a huge count over every
+  // offset and require *some* WireError (never a bad_alloc / crash).
   for (std::size_t at = 1; at + 4 <= bytes.size(); ++at) {
     auto evil = bytes;
     evil[at] = 0xff;
@@ -518,10 +689,10 @@ TEST(Wire, ScenarioTruncationsAndHostileSpecsAreRejected) {
         << "sweep response prefix " << keep;
   }
 
-  // A spec whose cooling-override flag is set but whose count-prefixed
-  // tunable block is empty is a contract violation, not a zero-fill:
-  // find the flags byte (the only byte force_chillers toggles) and set
-  // the has_cooling bit on an encoding that carried no tunables.
+  // A spec whose cooling-override flag is set but which carries no
+  // tunables is truncated, not zero-filled: find the flags byte (the
+  // only byte force_chillers toggles) and set the has_cooling bit on an
+  // encoding that carried no tunables.
   server::wire::Request plain;
   plain.method = server::wire::Method::kScenario;
   plain.nodes = {1};
@@ -542,7 +713,7 @@ TEST(Wire, ScenarioTruncationsAndHostileSpecsAreRejected) {
   }
   ASSERT_LT(flag_at, without.size());
   auto evil = without;
-  evil[flag_at] |= 4u;  // has_cooling, with a zero-count tunable block
+  evil[flag_at] |= 4u;  // has_cooling, with no tunables after it
   EXPECT_THROW((void)server::wire::decode_request(evil),
                server::wire::WireError);
 }
@@ -943,9 +1114,9 @@ TEST(Loopback, MalformedRequestBodyKeepsConnectionAlive) {
 }
 
 TEST(Loopback, UnknownFutureMethodIsTypedErrorNotConnectionFatal) {
-  // Mixed-version skew: a newer client speaking a method id this server
-  // has never heard of (the slot after the last known one) must get a
-  // typed per-request error back, and the connection must keep serving.
+  // A method id this server has never heard of (the slot after the last
+  // known one) in a well-formed frame must get a typed per-request error
+  // back, and the connection must keep serving.
   server::wire::Request ping;
   ping.method = server::wire::Method::kPing;
   auto payload = server::wire::encode_request(ping);
@@ -992,12 +1163,20 @@ TEST(Loopback, UnknownFutureMethodIsTypedErrorNotConnectionFatal) {
 
 TEST(Loopback, GarbageBytesGetGoodbyeAndCloseButServerSurvives) {
   LoopbackFixture fx("garbage");
-  {
+  server::wire::Request ping;
+  ping.method = server::wire::Method::kPing;
+  // A stray HTTP client, and a well-formed ping from a peer one protocol
+  // version behind: neither is ever parsed as a request.
+  const std::string http = "GET / HTTP/1.1\r\nHost: summit\r\n\r\n";
+  auto old_version = net::encode_frame(net::FrameType::kRequest, 1,
+                                       server::wire::encode_request(ping));
+  old_version[4] = static_cast<std::uint8_t>(net::kProtocolVersion - 1);
+  const std::vector<std::vector<std::uint8_t>> inputs = {
+      {http.begin(), http.end()}, old_version};
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
     auto stream =
         net::TcpStream::connect("127.0.0.1", fx.server.port(), 2000);
-    const std::string junk = "GET / HTTP/1.1\r\nHost: summit\r\n\r\n";
-    stream.write_all(reinterpret_cast<const std::uint8_t*>(junk.data()),
-                     junk.size(), 2000);
+    stream.write_all(inputs[i].data(), inputs[i].size(), 2000);
     // The server must answer with a goodbye frame and close; reading to
     // EOF must not hang.
     net::FrameDecoder decoder;
@@ -1017,16 +1196,68 @@ TEST(Loopback, GarbageBytesGetGoodbyeAndCloseButServerSurvives) {
         if (frame.type == net::FrameType::kGoodbye) got_goodbye = true;
       }
     }
-    EXPECT_TRUE(got_goodbye);
-    EXPECT_TRUE(closed);
-  }
-  EXPECT_GE(fx.server.loop_stats().protocol_errors, 1u);
+    EXPECT_TRUE(got_goodbye) << "input " << i;
+    EXPECT_TRUE(closed) << "input " << i;
+    EXPECT_GE(fx.server.loop_stats().protocol_errors, i + 1);
 
-  // A fresh, polite client is served as if nothing happened.
-  server::Client client(fx.client_options());
+    // A fresh, polite client is served as if nothing happened.
+    server::Client client(fx.client_options());
+    EXPECT_EQ(client.call(ping).status, server::wire::Status::kOk);
+  }
+}
+
+TEST(Loopback, ClientRefusesAnAnswerInAnotherProtocolVersion) {
+  // An endpoint one protocol version behind: it answers every request
+  // with an OK ping response framed as its own version.
+  net::TcpListener listener = net::TcpListener::bind(0, true);
+  const std::uint16_t port = listener.local_port();
+  std::atomic<bool> stop{false};
+  std::thread endpoint([&] {
+    net::TcpStream peer;
+    while (!stop.load() && !peer.valid()) {
+      peer = listener.accept();
+      if (!peer.valid()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    }
+    net::FrameDecoder decoder;
+    std::uint8_t chunk[4096];
+    while (!stop.load()) {
+      if (!peer.wait_readable(50)) continue;
+      const auto r = peer.read_some(chunk, sizeof(chunk));
+      if (r.status == net::IoStatus::kWouldBlock) continue;
+      if (r.status != net::IoStatus::kOk) return;
+      decoder.feed({chunk, r.n});
+      net::Frame frame;
+      while (decoder.next(frame)) {
+        server::wire::Response resp;  // OK ping
+        auto out =
+            net::encode_frame(net::FrameType::kResponse, frame.request_id,
+                              server::wire::encode_response(resp));
+        out[4] = static_cast<std::uint8_t>(net::kProtocolVersion - 1);
+        peer.write_all(out.data(), out.size(), 2000);
+      }
+    }
+  });
+
+  server::ClientOptions copts;
+  copts.port = port;
+  copts.max_reconnects = 0;
+  server::Client client(copts);
   server::wire::Request ping;
   ping.method = server::wire::Method::kPing;
-  EXPECT_EQ(client.call(ping).status, server::wire::Status::kOk);
+  try {
+    (void)client.call(ping);
+    ADD_FAILURE() << "an answer in another protocol version was accepted";
+  } catch (const net::NetError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported protocol version"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(client.connected());
+
+  stop.store(true);
+  endpoint.join();
 }
 
 TEST(Loopback, SlowLorisRequestIsAnsweredOnceComplete) {
@@ -1787,137 +2018,6 @@ TEST(ChunkedLoopback, HostileChunkFlagsFailOneConnectionNotTheNeighbor) {
   EXPECT_EQ(neighbor.call(ping).status, server::wire::Status::kOk);
 }
 
-TEST(ChunkedLoopback, DowngradesForPreChunkPeersTransparently) {
-  // A hand-rolled "old" server: answers pings, but any request carrying
-  // the chunk_bytes extension gets the exact INVALID_ARGUMENT a
-  // pre-chunking decode_request would raise for trailing bytes.
-  net::TcpListener listener = net::TcpListener::bind(0, true);
-  const std::uint16_t port = listener.local_port();
-  std::atomic<bool> stop{false};
-  std::atomic<int> chunked_seen{0};
-  std::thread old_server([&] {
-    net::TcpStream peer;
-    while (!stop.load() && !peer.valid()) {
-      peer = listener.accept();
-      if (!peer.valid()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-    }
-    net::FrameDecoder decoder;
-    std::uint8_t chunk[4096];
-    while (!stop.load()) {
-      if (!peer.wait_readable(50)) continue;
-      const auto r = peer.read_some(chunk, sizeof(chunk));
-      if (r.status != net::IoStatus::kOk) {
-        if (r.status == net::IoStatus::kWouldBlock) continue;
-        return;
-      }
-      decoder.feed({chunk, r.n});
-      net::Frame frame;
-      while (decoder.next(frame)) {
-        const auto req = server::wire::decode_request(frame.payload);
-        server::wire::Response resp;
-        resp.method = req.method;
-        if (req.chunk_bytes != 0) {
-          ++chunked_seen;
-          resp.status = server::wire::Status::kInvalidArgument;
-          resp.message = "trailing bytes after request";
-        }
-        const auto out =
-            net::encode_frame(net::FrameType::kResponse, frame.request_id,
-                              server::wire::encode_response(resp));
-        peer.write_all(out.data(), out.size(), 2000);
-      }
-    }
-  });
-
-  server::ClientOptions copts;
-  copts.port = port;
-  server::Client client(copts);
-  server::wire::Request req;
-  req.method = server::wire::Method::kPing;
-  req.chunk_bytes = 4096;  // caller wants streaming; the peer predates it
-  EXPECT_EQ(client.call(req).status, server::wire::Status::kOk);
-  EXPECT_EQ(client.call(req).status, server::wire::Status::kOk);
-  // The downgrade is sticky: exactly one probe carried the extension.
-  EXPECT_EQ(chunked_seen.load(), 1);
-
-  stop.store(true);
-  old_server.join();
-}
-
-TEST(ChunkedLoopback, DowngradeEndsWithTheConnection) {
-  // The endpoint restarts on a newer build: its first connection
-  // refuses extension tags as trailing bytes and then closes, its second
-  // accepts them. The downgrade the first connection taught the client
-  // must not outlive that connection.
-  net::TcpListener listener = net::TcpListener::bind(0, true);
-  const std::uint16_t port = listener.local_port();
-  std::atomic<bool> stop{false};
-  std::atomic<int> tagged_on_second{0};
-  std::thread endpoint([&] {
-    for (int connection = 0; connection < 2 && !stop.load(); ++connection) {
-      net::TcpStream peer;
-      while (!stop.load() && !peer.valid()) {
-        peer = listener.accept();
-        if (!peer.valid()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-      }
-      net::FrameDecoder decoder;
-      std::uint8_t chunk[4096];
-      bool answered = false;
-      while (!stop.load() && !answered) {
-        if (!peer.wait_readable(50)) continue;
-        const auto r = peer.read_some(chunk, sizeof(chunk));
-        if (r.status == net::IoStatus::kWouldBlock) continue;
-        if (r.status != net::IoStatus::kOk) break;
-        decoder.feed({chunk, r.n});
-        net::Frame frame;
-        while (decoder.next(frame)) {
-          const auto req = server::wire::decode_request(frame.payload);
-          const bool tagged = req.qos_class != 1 || req.tenant != 0 ||
-                              req.chunk_bytes != 0;
-          server::wire::Response resp;
-          resp.method = req.method;
-          if (connection == 0 && tagged) {
-            resp.status = server::wire::Status::kInvalidArgument;
-            resp.message = "trailing bytes after request";
-          } else if (connection == 1 && tagged) {
-            ++tagged_on_second;
-          }
-          const auto out =
-              net::encode_frame(net::FrameType::kResponse, frame.request_id,
-                                server::wire::encode_response(resp));
-          peer.write_all(out.data(), out.size(), 2000);
-          // The old build goes away once it has answered the plain retry;
-          // the new one once it has seen its tagged request.
-          answered = connection == 0 ? !tagged : tagged;
-        }
-      }
-    }  // leaving the scope closes the connection
-  });
-
-  server::ClientOptions copts;
-  copts.port = port;
-  server::Client client(copts);
-  server::wire::Request req;
-  req.method = server::wire::Method::kPing;
-  req.qos_class = 0;
-  req.tenant = 42;
-  // Refused with tags, answered plainly: the client downgrades.
-  EXPECT_EQ(client.call(req).status, server::wire::Status::kOk);
-  // The old endpoint has closed that connection: this call finds it
-  // dead, reconnects and retries on a new one.
-  EXPECT_EQ(client.call(req).status, server::wire::Status::kOk);
-  EXPECT_GE(client.stats().reconnect_successes, 1u);
-  EXPECT_EQ(tagged_on_second.load(), 1)
-      << "the tags of a request on the new connection were dropped";
-
-  stop.store(true);
-  endpoint.join();
-}
-
 // --- many-connection harness ---------------------------------------------
 
 std::size_t open_fd_count() {
@@ -2064,7 +2164,7 @@ TEST(ScanBlocksWire, RequestExtensionRoundTrips) {
   EXPECT_EQ(both.chunk_bytes, 4096u);
   EXPECT_TRUE(both.want_scan_blocks);
 
-  // The block form negotiates independently of chunking.
+  // The block form is a field of its own, independent of chunking.
   req.chunk_bytes = 0;
   const auto lone =
       server::wire::decode_request(server::wire::encode_request(req));
@@ -2072,7 +2172,7 @@ TEST(ScanBlocksWire, RequestExtensionRoundTrips) {
   EXPECT_TRUE(lone.want_scan_blocks);
 
   // kScanBlocks is a response-only method: a request asks with kScan
-  // plus the extension, never with the method itself.
+  // plus `want_scan_blocks`, never with the method itself.
   server::wire::Request bad;
   bad.method = server::wire::Method::kScanBlocks;
   EXPECT_THROW((void)server::wire::encode_request(bad),

@@ -630,30 +630,6 @@ int cmd_serve(const util::Flags& flags) {
   return 0;
 }
 
-void print_shard_table(const std::vector<cluster::ShardStats>& shards) {
-  util::TextTable t({"shard", "endpoint", "up", "calls", "ok", "shed",
-                     "deadline", "errors", "transport", "reconnects",
-                     "mean ms", "max ms"});
-  const auto ms = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.2f", v);
-    return std::string(buf);
-  };
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    const cluster::ShardStats& s = shards[i];
-    t.add_row({std::to_string(i), s.endpoint, s.up ? "yes" : "DOWN",
-               std::to_string(s.calls), std::to_string(s.ok),
-               std::to_string(s.shed), std::to_string(s.deadline_exceeded),
-               std::to_string(s.other_errors),
-               std::to_string(s.transport_errors),
-               std::to_string(s.reconnect_attempts) + "/" +
-                   std::to_string(s.reconnect_successes),
-               ms(s.mean_latency_ms()),
-               ms(static_cast<double>(s.latency_us_max) / 1000.0)});
-  }
-  std::printf("%s", t.str().c_str());
-}
-
 int cmd_cluster(const util::Flags& flags) {
   const std::string shard_list = flags.get("shards");
   if (shard_list.empty()) {
@@ -693,7 +669,8 @@ int cmd_cluster(const util::Flags& flags) {
   }
   server.drain();
   print_service_report(service);
-  print_shard_table(coordinator.shard_stats());
+  std::printf("%s",
+              cluster::format_shard_stats(coordinator.shard_stats()).c_str());
   return 0;
 }
 

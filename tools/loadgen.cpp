@@ -177,31 +177,6 @@ struct IdleHerdReport {
   std::vector<double> latency_ms;
 };
 
-void print_shard_breakdown(
-    const std::vector<exawatt::cluster::ShardStats>& shards) {
-  exawatt::util::TextTable t({"shard", "endpoint", "up", "calls", "ok",
-                              "shed", "deadline", "errors", "transport",
-                              "reconnects", "mean ms", "max ms"});
-  const auto ms = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-    return std::string(buf);
-  };
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    const exawatt::cluster::ShardStats& s = shards[i];
-    t.add_row({std::to_string(i), s.endpoint, s.up ? "yes" : "DOWN",
-               std::to_string(s.calls), std::to_string(s.ok),
-               std::to_string(s.shed), std::to_string(s.deadline_exceeded),
-               std::to_string(s.other_errors),
-               std::to_string(s.transport_errors),
-               std::to_string(s.reconnect_attempts) + "/" +
-                   std::to_string(s.reconnect_successes),
-               ms(s.mean_latency_ms()),
-               ms(static_cast<double>(s.latency_us_max) / 1000.0)});
-  }
-  std::printf("\nper-shard breakdown:\n%s", t.str().c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -706,7 +681,9 @@ int main(int argc, char** argv) {
                 pct(0.5), pct(0.99));
   }
   if (coordinator != nullptr) {
-    print_shard_breakdown(coordinator->shard_stats());
+    std::printf(
+        "\nper-shard breakdown:\n%s",
+        cluster::format_shard_stats(coordinator->shard_stats()).c_str());
   }
   return total.ok > 0 ? 0 : 1;
 }
